@@ -25,62 +25,54 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 DEFAULT_CHECK_BOUND = 400
 
-METHODS = ["oracle", "bizley", "coprime", "fuss", "theorem", "decompose", "auto"]
 
-
-def _fit_theorem(a: int, b: int):
-    """(route, k, n) when b = a(n+1) - 2 or b = an + 2 with a = 2k, else None."""
-    if a < 2 or a % 2:
-        return None
-    k = a // 2
-    if (b + 2) % a == 0 and (b + 2) // a >= 1:
-        return "theorem1", k, (b + 2) // a - 1
-    if (b - 2) % a == 0 and (b - 2) // a >= 1:
-        return "theorem2", k, (b - 2) // a
-    return None
-
-
-def _count_by(method: str, a: int, b: int) -> tuple[int, str]:
-    if method == "oracle":
-        return diagrams.count_rect(a, b), "oracle"
-    if method == "bizley":
-        return bizley.bizley_count(a, b), "bizley"
-    if method == "coprime":
-        return formulas.coprime_catalan(a, b), "coprime"
-    if method == "fuss":
-        if b % a:
-            raise ValueError(
-                f"fuss needs the width to be a multiple of the height, got {a}x{b}"
-            )
-        return formulas.fuss_catalan(a, b // a), "fuss"
-    if method == "theorem":
-        fit = _fit_theorem(a, b)
-        if fit is None:
-            raise ValueError(
-                f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2"
-            )
-        route, k, n = fit
-        if route == "theorem1":
-            return comparison.theorem1_count(k, n), "theorem"
-        return comparison.theorem2_count(k, n), "theorem"
-    if method == "decompose":
-        mu = diagrams.christoffel_diagram(a, b)
-        return decomposition.h_value(decomposition.decompose(mu)), "decompose"
-    # auto: cheapest applicable closed form, the partition sum as fallback
-    if gcd(a, b) == 1:
-        return formulas.coprime_catalan(a, b), "coprime"
-    if b % a == 0:
-        return formulas.fuss_catalan(a, b // a), "fuss"
-    fit = _fit_theorem(a, b)
-    if fit is not None:
-        route, k, n = fit
-        value = (
-            comparison.theorem1_count(k, n)
-            if route == "theorem1"
-            else comparison.theorem2_count(k, n)
+def _fuss(a: int, b: int) -> int:
+    if b % a:
+        raise ValueError(
+            f"fuss needs the width to be a multiple of the height, got {a}x{b}"
         )
-        return value, "theorem"
-    return bizley.bizley_count(a, b), "bizley"
+    return formulas.fuss_catalan(a, b // a)
+
+
+def _theorem(a: int, b: int) -> int:
+    fit = comparison.theorem_fit(a, b)
+    if fit is None:
+        raise ValueError(
+            f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2"
+        )
+    family, k, n = fit
+    if family == "upper":
+        return comparison.theorem1_count(k, n)
+    return comparison.theorem2_count(k, n)
+
+
+ROUTES = {
+    "oracle": lambda a, b: diagrams.count_rect(a, b),
+    "bizley": lambda a, b: bizley.bizley_count(a, b),
+    "coprime": lambda a, b: formulas.coprime_catalan(a, b),
+    "fuss": _fuss,
+    "theorem": _theorem,
+    "decompose": lambda a, b: decomposition.h_value(
+        decomposition.decompose(diagrams.christoffel_diagram(a, b))
+    ),
+}
+"""Counting routes by name.  Each entry looks its function up on the module at
+call time, not at import, so that a function replaced there (a test's injected
+fault, a profiler's wrapper) is the one that runs.
+"""
+
+METHODS = [*ROUTES, "auto"]
+
+
+def _auto_route(a: int, b: int) -> str:
+    """The cheapest route that applies: coprime, fuss, theorem, else bizley."""
+    if gcd(a, b) == 1:
+        return "coprime"
+    if b % a == 0:
+        return "fuss"
+    if comparison.theorem_fit(a, b) is not None:
+        return "theorem"
+    return "bizley"
 
 
 def _append_cache(path: str, a: int, b: int, method: str, count: int, micros: int) -> None:
@@ -96,7 +88,8 @@ def _cmd_count(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
     start = time.perf_counter()
-    value, resolved = _count_by(args.method, a, b)
+    resolved = _auto_route(a, b) if args.method == "auto" else args.method
+    value = ROUTES[resolved](a, b)
     micros = int((time.perf_counter() - start) * 1e6)
     failures = []
     oracle = None
@@ -147,12 +140,12 @@ def _cmd_decompose(args):
     value = decomposition.h_value(expr)
     oracle = diagrams.count_paths(mu)
     summands, leaves, depth = decomposition.expr_stats(expr)
-    rendered = decomposition.render(expr, args.format)
+    forms = {fmt: decomposition.render(expr, fmt) for fmt in ("text", "json")}
     failures = []
     if value != oracle:
         failures.append(f"decomposition values to {value}, oracle {oracle}")
     lines = [
-        f"expr: {rendered}",
+        f"expr: {forms[args.format]}",
         f"value: {value}",
         f"oracle: {oracle}",
         f"summands: {summands}",
@@ -161,8 +154,8 @@ def _cmd_decompose(args):
     ] + [f"FAIL: {f}" for f in failures]
     results = {
         "diagram": list(mu),
-        "expr": json.loads(decomposition.render(expr, "json")),
-        "text": decomposition.render(expr, "text"),
+        "expr": json.loads(forms["json"]),
+        "text": forms["text"],
         "value": str(value),
         "oracle": str(oracle),
         "summands": summands,
@@ -224,13 +217,12 @@ def _cmd_identities(args):
 def _cmd_expand(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
-    fit = _fit_theorem(a, b)
+    fit = comparison.theorem_fit(a, b)
     if fit is None:
         raise ValueError(
             f"{a}x{b} fits neither family b = a(n+1)-2 nor b = an+2"
         )
-    route, _, n = fit
-    family = "upper" if route == "theorem1" else "lower"
+    family, _, n = fit
     terms = comparison.rule2_terms(a, family, n)
     lines = [f"family: {family} (a={a}, b={b}, n={n})"]
     total = 0
@@ -250,12 +242,7 @@ def _cmd_expand(args):
                 "right_count": str(rc),
             }
         )
-    if family == "upper":
-        diff = diagrams.count_rect(a, b + 1) - diagrams.count_rect(a, b)
-        step = f"count({a},{b + 1}) - count({a},{b})"
-    else:
-        diff = diagrams.count_rect(a, b) - diagrams.count_rect(a, b - 1)
-        step = f"count({a},{b}) - count({a},{b - 1})"
+    step, diff = verify.width_step(a, b, family)
     failures = []
     if total != diff:
         failures.append(f"term sum {total} differs from width step {diff}")
@@ -395,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         lines, results, failures = args.handler(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as err:

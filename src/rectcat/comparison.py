@@ -8,6 +8,7 @@ families b = a(n+1) - 2 (upper) and b = an + 2 (lower), a = 2k, yields
 closed forms for rectangles whose sides share only the factor 2:
 theorem1_count subtracts the products from the coprime count one width up,
 theorem2_count adds them to the coprime count one width down.
+theorem_fit tells which family, if either, a rectangle belongs to.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def through_box_split(mu, r: int) -> tuple[Diagram, Diagram]:
     upper = mu[r:]
     lower = as_diagram(x - j for x in mu[: r - 1])
     return upper, lower
+
+
+def theorem_fit(a: int, b: int) -> tuple[str, int, int] | None:
+    """(family, k, n) when a = 2k and b = a(n+1) - 2 (upper) or b = an + 2 (lower)."""
+    if a < 2 or a % 2:
+        return None
+    if (b + 2) % a == 0 and (b + 2) // a >= 1:
+        return "upper", a // 2, (b + 2) // a - 1
+    if (b - 2) % a == 0 and (b - 2) // a >= 1:
+        return "lower", a // 2, (b - 2) // a
+    return None
 
 
 def rule2_terms(a: int, family: str, n: int) -> TermList:

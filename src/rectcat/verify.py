@@ -2,8 +2,11 @@
 
 Each check compares an independent pair of routes over a bounded grid and
 reports the counterexamples it finds instead of raising, so a single run can
-show everything that is broken.  All library calls go through the module
-objects, which keeps the checks honest under fault injection in tests.
+show everything that is broken.  Every route-vs-oracle check is the one
+sweep check_vs_oracle, which run_verify feeds a stream of cases per route:
+a rectangle and the route call that must match the oracle there.  All
+library calls go through the module objects, which keeps the checks honest
+under fault injection in tests.
 """
 
 from __future__ import annotations
@@ -30,105 +33,36 @@ class CheckResult:
         return not self.failures
 
 
-def check_coprime(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("coprime-formula-vs-oracle")
-    for a in range(1, max_a + 1):
-        for b in range(1, max_b + 1):
-            if gcd(a, b) != 1:
-                continue
-            want = diagrams.count_rect(a, b)
-            got = formulas.coprime_catalan(a, b)
-            res.check(got == want, f"coprime({a},{b}) = {got}, oracle {want}")
+def check_vs_oracle(name: str, cases) -> CheckResult:
+    """One route against the oracle over ``(rectangle, label, route, args)`` cases."""
+    res = CheckResult(name)
+    for (a, b), label, route, args in cases:
+        want = diagrams.count_rect(a, b)
+        got = route(*args)
+        call = f"{label}({','.join(map(str, args))})"
+        res.check(got == want, f"{call} = {got}, oracle {want}")
     return res
 
 
-def check_fuss(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("fuss-formula-vs-oracle")
-    for a in range(1, max_a + 1):
-        for k in range(1, max_b // a + 1):
-            want = diagrams.count_rect(a, a * k)
-            got = formulas.fuss_catalan(a, k)
-            res.check(got == want, f"fuss({a},{k}) = {got}, oracle {want}")
-    return res
-
-
-def check_prime(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("prime-dispatch-vs-oracle")
-    for p in range(2, max_a + 1):
-        if not formulas._is_prime(p):
-            continue
-        for b in range(1, max_b + 1):
-            want = diagrams.count_rect(p, b)
-            got = formulas.prime_rect(p, b)
-            res.check(got == want, f"prime_rect({p},{b}) = {got}, oracle {want}")
-    return res
-
-
-def check_bizley(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("bizley-vs-oracle")
-    for a in range(1, max_a + 1):
-        for b in range(1, max_b + 1):
-            want = diagrams.count_rect(a, b)
-            got = bizley.bizley_count(a, b)
-            res.check(got == want, f"bizley({a},{b}) = {got}, oracle {want}")
-    return res
-
-
-def check_catalan_square(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("catalan-on-squares")
-    for n in range(1, min(max_a, max_b, 10) + 1):
-        want = diagrams.count_rect(n, n)
-        got = formulas.catalan(n)
-        res.check(got == want, f"catalan({n}) = {got}, oracle {want}")
-    return res
-
-
-def check_theorem1(fam_k: int, fam_n: int) -> CheckResult:
-    res = CheckResult("theorem1-vs-oracle")
-    for k in range(1, fam_k + 1):
-        for n in range(0, fam_n + 1):
-            b = 2 * k * (n + 1) - 2
-            if b < 1:
-                continue
-            want = diagrams.count_rect(2 * k, b)
-            got = comparison.theorem1_count(k, n)
-            res.check(got == want, f"theorem1({k},{n}) = {got}, oracle {want}")
-    return res
-
-
-def check_theorem2(fam_k: int, fam_n: int) -> CheckResult:
-    res = CheckResult("theorem2-vs-oracle")
-    for k in range(1, fam_k + 1):
-        for n in range(1, fam_n + 1):
-            want = diagrams.count_rect(2 * k, 2 * k * n + 2)
-            got = comparison.theorem2_count(k, n)
-            res.check(got == want, f"theorem2({k},{n}) = {got}, oracle {want}")
-    return res
-
-
-def _term_sum(terms) -> int:
-    return sum(
-        diagrams.count_rect(*left) * diagrams.count_rect(*right)
-        for left, right in terms
-    )
+def width_step(a: int, b: int, family: str) -> tuple[str, int]:
+    """The adjacent-width difference the rule2 terms of (a, b) sum to, labelled."""
+    wide, narrow = (b + 1, b) if family == "upper" else (b, b - 1)
+    diff = diagrams.count_rect(a, wide) - diagrams.count_rect(a, narrow)
+    return f"count({a},{wide}) - count({a},{narrow})", diff
 
 
 def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
+    # The upper family starts at n = 1: n = 0 is degenerate or of width zero.
     res = CheckResult(f"rule2-{family}-telescopes")
     for k in range(1, fam_k + 1):
         a = 2 * k
-        for n in range(0, fam_n + 1):
-            if family == "upper":
-                if n == 0 and k >= 2:
-                    continue
-                b = a * (n + 1) - 2
-                if b < 1:
-                    continue
-                diff = diagrams.count_rect(a, b + 1) - diagrams.count_rect(a, b)
-            else:
-                b = a * n + 2
-                diff = diagrams.count_rect(a, b) - diagrams.count_rect(a, b - 1)
-            got = _term_sum(comparison.rule2_terms(a, family, n))
+        for n in range(0 if family == "lower" else 1, fam_n + 1):
+            b = a * n + 2 if family == "lower" else a * (n + 1) - 2
+            _, diff = width_step(a, b, family)
+            got = sum(
+                diagrams.count_rect(*left) * diagrams.count_rect(*right)
+                for left, right in comparison.rule2_terms(a, family, n)
+            )
             res.check(
                 got == diff,
                 f"rule2({a},{family},{n}) terms sum to {got}, width step {diff}",
@@ -248,14 +182,36 @@ def run_identity_checks(max_a: int, max_b: int) -> list[CheckResult]:
 
 def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResult]:
     """Every sweep: formulas, theorems, splitting, decomposition, identities."""
+    rows, cols = range(1, max_a + 1), range(1, max_b + 1)
     return [
-        check_coprime(max_a, max_b),
-        check_fuss(max_a, max_b),
-        check_prime(max_a, max_b),
-        check_bizley(max_a, max_b),
-        check_catalan_square(max_a, max_b),
-        check_theorem1(fam_k, fam_n),
-        check_theorem2(fam_k, fam_n),
+        check_vs_oracle("coprime-formula-vs-oracle", (
+            ((a, b), "coprime", formulas.coprime_catalan, (a, b))
+            for a in rows for b in cols if gcd(a, b) == 1
+        )),
+        check_vs_oracle("fuss-formula-vs-oracle", (
+            ((a, a * k), "fuss", formulas.fuss_catalan, (a, k))
+            for a in rows for k in range(1, max_b // a + 1)
+        )),
+        check_vs_oracle("prime-dispatch-vs-oracle", (
+            ((p, b), "prime_rect", formulas.prime_rect, (p, b))
+            for p in rows if p >= 2 and formulas._is_prime(p) for b in cols
+        )),
+        check_vs_oracle("bizley-vs-oracle", (
+            ((a, b), "bizley", bizley.bizley_count, (a, b)) for a in rows for b in cols
+        )),
+        check_vs_oracle("catalan-on-squares", (
+            ((n, n), "catalan", formulas.catalan, (n,))
+            for n in range(1, min(max_a, max_b, 10) + 1)
+        )),
+        check_vs_oracle("theorem1-vs-oracle", (
+            ((2 * k, 2 * k * (n + 1) - 2), "theorem1", comparison.theorem1_count, (k, n))
+            for k in range(1, fam_k + 1) for n in range(0, fam_n + 1)
+            if 2 * k * (n + 1) - 2 >= 1
+        )),
+        check_vs_oracle("theorem2-vs-oracle", (
+            ((2 * k, 2 * k * n + 2), "theorem2", comparison.theorem2_count, (k, n))
+            for k in range(1, fam_k + 1) for n in range(1, fam_n + 1)
+        )),
         check_rule2("upper", fam_k, fam_n),
         check_rule2("lower", fam_k, fam_n),
         check_split_contract(max_a, max_b),

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from rectcat import cli
-from rectcat import formulas
+from rectcat import bizley, cli, comparison, formulas
 
 
 def run(capsys, *argv):
@@ -32,6 +31,8 @@ def test_count_auto_resolution(capsys):
     for a, b, resolved, value in [
         (2, 3, "coprime", "2"),
         (4, 8, "fuss", "55"),
+        (4, 6, "theorem", "23"),  # upper family, n = 1
+        (4, 2, "theorem", "3"),  # upper family, n = 0
         (6, 8, "theorem", "227"),
         (6, 9, "bizley", "377"),
     ]:
@@ -74,12 +75,27 @@ def test_count_method_errors(capsys):
     assert "positive" in err
 
 
-def test_count_cross_check_catches_bad_formula(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "coprime_catalan", lambda a, b: 999)
-    code, out, err = run(capsys, "count", "2", "3")
+@pytest.mark.parametrize(
+    "module, name, a, b, route, oracle",
+    [
+        (formulas, "coprime_catalan", 2, 3, "coprime", 2),
+        (formulas, "fuss_catalan", 4, 8, "fuss", 55),
+        (comparison, "theorem2_count", 6, 8, "theorem", 227),
+        (bizley, "bizley_count", 6, 9, "bizley", 377),
+    ],
+    ids=["coprime", "fuss", "theorem", "bizley"],
+)
+def test_count_cross_check_catches_bad_formula(
+    capsys, monkeypatch, module, name, a, b, route, oracle
+):
+    # A route that captured its function at import would miss the patch.
+    monkeypatch.setattr(module, name, lambda *args: 999)
+    code, out, err = run(capsys, "count", str(a), str(b))
     assert code == 3
-    assert out.splitlines()[0] == "999"
-    assert "FAIL" in out and "oracle" in out
+    assert out.splitlines() == [
+        "999",
+        f"FAIL: method {route} gives 999 for {a}x{b}, oracle {oracle}",
+    ]
     assert err == ""
 
 
@@ -232,8 +248,13 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 3
     lines = out.splitlines()
     assert any(line.startswith("fuss-formula-vs-oracle") and line.endswith("FAIL") for line in lines)
-    assert "counterexamples:" in out
-    assert lines[-1].startswith("RESULT: FAIL")
+    assert lines[-5:] == [
+        "counterexamples:",
+        "  fuss(2,1) = 1, oracle 2",
+        "  fuss(2,2) = 1, oracle 3",
+        "  fuss(3,1) = 1, oracle 5",
+        "RESULT: FAIL (15 checks, 140 cells)",
+    ]
 
 
 def test_verify_json_reports_failures(capsys, monkeypatch):
@@ -348,3 +369,10 @@ def test_cache_appends_csv(capsys, tmp_path):
     assert rows[2][:4] == ["4", "6", "oracle", "23"]
     assert all(int(row[4]) >= 0 for row in rows[1:])
     assert len(rows) == 3
+
+
+def test_cache_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    cache = tmp_path / "missing" / "counts.csv"
+    code, out, err = run(capsys, "count", "2", "3", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(cache) in err
