@@ -7,7 +7,9 @@ reproduced here by coincidence to slip through.  Everything is exact and
 deliberately slow; keep the ranges small.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial, gcd, prod
 
 
 def words_by_filter(a: int, b: int) -> list[str]:
@@ -56,3 +58,38 @@ def subdiagrams_by_filter(mu) -> list[tuple[int, ...]]:
 
 def count_subdiagrams(mu) -> int:
     return len(subdiagrams_by_filter(mu))
+
+
+def _partitions_by_multiplicity(d: int, largest: int):
+    """Partitions of d into parts <= largest, as {part: multiplicity} dicts.
+
+    Chooses how often ``largest`` occurs, then recurses on the smaller parts,
+    so it shares no code or order with the library's generator.
+    """
+    if d == 0:
+        yield {}
+        return
+    if largest == 0:
+        return
+    for mult in range(d // largest + 1):
+        for rest in _partitions_by_multiplicity(d - mult * largest, largest - 1):
+            yield {largest: mult, **rest} if mult else rest
+
+
+def count_by_partition_sum(m: int, n: int) -> int:
+    """Bizley's partition sum, term by term, over every partition of gcd(m, n).
+
+    The term of a partition with multiplicities m_j is prod_j phi_j^{m_j} / m_j!
+    with phi_j = C(j(a+b), ja) / (j(a+b)).  Exponential in gcd(m, n): keep it
+    small.
+    """
+    d = gcd(m, n)
+    a, b = m // d, n // d
+    phi = {j: Fraction(comb(j * (a + b), j * a), j * (a + b)) for j in range(1, d + 1)}
+    total = sum(
+        prod(phi[j] ** mult / factorial(mult) for j, mult in lam.items())
+        for lam in _partitions_by_multiplicity(d, d)
+    )
+    if total.denominator != 1:
+        raise ArithmeticError(f"partition sum for {m}x{n} is not integral: {total}")
+    return int(total)

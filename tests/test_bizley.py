@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import count_by_partition_sum
 from rectcat import bizley_count, coprime_catalan, count_rect, partitions, phi, z_of
 from rectcat import bizley as bizley_mod
 
@@ -124,6 +127,22 @@ def test_bizley_agrees_with_z_weighted_form():
             assert bizley_count(d * a0, d * b0) == z_weighted(d * a0, d * b0)
 
 
+def test_bizley_matches_term_by_term_partition_sum():
+    for a0, b0 in [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5)]:
+        for d in range(1, 11):
+            assert bizley_count(d * a0, d * b0) == count_by_partition_sum(d * a0, d * b0)
+
+
+@given(
+    st.sampled_from([(a, b) for a in range(1, 7) for b in range(1, 7) if gcd(a, b) == 1]),
+    st.integers(1, 40),
+)
+@settings(deadline=None)
+def test_bizley_matches_oracle_up_to_gcd_40(base, d):
+    a0, b0 = base
+    assert bizley_count(d * a0, d * b0) == count_rect(d * a0, d * b0)
+
+
 def test_bizley_rejects_nonpositive():
     with pytest.raises(ValueError):
         bizley_count(0, 5)
@@ -131,7 +150,15 @@ def test_bizley_rejects_nonpositive():
         bizley_count(5, -1)
 
 
-def test_bizley_integrality_guard_trips_on_fault(monkeypatch):
-    monkeypatch.setattr(bizley_mod, "phi", lambda a, b, j: Fraction(1, 3))
-    with pytest.raises(ArithmeticError):
+@pytest.mark.parametrize(
+    "fault, where",
+    [
+        (lambda a, b, j: Fraction(1, 3), "weight w_1"),
+        (lambda a, b, j: phi(a, b, j) + 1, "at k = 2"),
+    ],
+    ids=["non-integral-weight", "off-by-one"],
+)
+def test_bizley_integrality_guard_trips_on_fault(monkeypatch, fault, where):
+    monkeypatch.setattr(bizley_mod, "phi", fault)
+    with pytest.raises(ArithmeticError, match=where):
         bizley_mod.bizley_count(2, 2)

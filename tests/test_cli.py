@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rectcat import bizley, cli, comparison, formulas
+from rectcat import bizley, cli, comparison, diagrams, formulas
 
 
 def run(capsys, *argv):
@@ -42,6 +42,17 @@ def test_count_auto_resolution(capsys):
         assert report["results"]["resolved_method"] == resolved
         assert report["results"]["count"] == value
         assert report["results"]["oracle"] == value  # cross-checked in bound
+
+
+@pytest.mark.parametrize("a, b", [(120, 180), (300, 450), (666, 999)])
+def test_count_auto_on_high_gcd_finishes(capsys, a, b):
+    # gcd 60, 150 and 333: p(60) = 966,467 and p(150) ~ 4e10 partition terms,
+    # which a term-by-term partition sum does not get through.
+    code, out, err = run(capsys, "count", str(a), str(b), "--json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["resolved_method"] == "bizley"
+    assert int(results["count"]) == diagrams.count_rect(a, b)
 
 
 def test_count_json_frozen(capsys):
@@ -97,6 +108,14 @@ def test_count_cross_check_catches_bad_formula(
         f"FAIL: method {route} gives 999 for {a}x{b}, oracle {oracle}",
     ]
     assert err == ""
+
+
+def test_count_bizley_fault_is_an_internal_error(capsys, monkeypatch):
+    phi = bizley.phi
+    monkeypatch.setattr(bizley, "phi", lambda a, b, j: phi(a, b, j) + 1)
+    code, out, err = run(capsys, "count", "6", "9", "--method", "bizley")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: ")
 
 
 # -------------------------------------------------------------- christoffel
