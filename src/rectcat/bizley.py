@@ -10,15 +10,13 @@ where m_j is the multiplicity of j in lambda.  There are p(d) partitions of d,
 so the sum is not evaluated term by term: the exponential formula turns it
 into a recurrence of O(d^2) integer steps (see ``bizley_count``).  Every
 intermediate is an integer; one that is not is reported as an internal error
-rather than rounded.  ``partitions`` and ``z_of`` enumerate the sum's index
-set and its centralizer constants.
+rather than rounded.  ``partitions`` enumerates the sum's index set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .formulas import binomial
 
@@ -42,17 +40,6 @@ def partitions(d: int) -> list[Partition]:
 
     extend([], d, d)
     return out
-
-
-def z_of(parts) -> int:
-    """Centralizer constant z_lambda = prod_i i^{m_i} * m_i! over part multiplicities."""
-    parts = tuple(parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"parts must be positive, got {parts}")
-    z = 1
-    for part, mult in Counter(parts).items():
-        z *= part**mult * factorial(mult)
-    return z
 
 
 def phi(a: int, b: int, j: int) -> Fraction:

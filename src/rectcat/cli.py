@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from math import gcd
 
 from . import bizley, christoffel, comparison, decomposition, diagrams, formulas, verify
@@ -75,13 +76,23 @@ def _auto_route(a: int, b: int) -> str:
     return "bizley"
 
 
-def _append_cache(path: str, a: int, b: int, method: str, count: int, micros: int) -> None:
+def _digits(n) -> str:
+    """``n``, an int or a Fraction, in decimal.
+
+    Goes through Decimal because str() refuses ints past 4300 digits on
+    Python 3.11+, and lifting that limit would change it for the whole process.
+    """
+    text = str(Decimal(n.numerator))
+    return text if n.denominator == 1 else f"{text}/{Decimal(n.denominator)}"
+
+
+def _append_cache(path: str, a: int, b: int, method: str, count: str, micros: int) -> None:
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(["a", "b", "method", "count", "micros"])
-        writer.writerow([a, b, method, str(count), micros])
+        writer.writerow([a, b, method, count, micros])
 
 
 def _cmd_count(args):
@@ -97,18 +108,20 @@ def _cmd_count(args):
         oracle = diagrams.count_rect(a, b)
         if oracle != value:
             failures.append(
-                f"method {resolved} gives {value} for {a}x{b}, oracle {oracle}"
+                f"method {resolved} gives {_digits(value)} for {a}x{b}, "
+                f"oracle {_digits(oracle)}"
             )
+    count = _digits(value)
     if args.cache:
-        _append_cache(args.cache, a, b, resolved, value, micros)
-    lines = [str(value)] + [f"FAIL: {f}" for f in failures]
+        _append_cache(args.cache, a, b, resolved, count, micros)
+    lines = [count] + [f"FAIL: {f}" for f in failures]
     results = {
         "a": a,
         "b": b,
         "method": args.method,
         "resolved_method": resolved,
-        "count": str(value),
-        "oracle": None if oracle is None else str(oracle),
+        "count": count,
+        "oracle": None if oracle is None else _digits(oracle),
     }
     return lines, results, failures
 
@@ -139,15 +152,16 @@ def _cmd_decompose(args):
     expr = decomposition.decompose(mu)
     value = decomposition.h_value(expr)
     oracle = diagrams.count_paths(mu)
+    value_text, oracle_text = _digits(value), _digits(oracle)
     summands, leaves, depth = decomposition.expr_stats(expr)
     forms = {fmt: decomposition.render(expr, fmt) for fmt in ("text", "json")}
     failures = []
     if value != oracle:
-        failures.append(f"decomposition values to {value}, oracle {oracle}")
+        failures.append(f"decomposition values to {value_text}, oracle {oracle_text}")
     lines = [
         f"expr: {forms[args.format]}",
-        f"value: {value}",
-        f"oracle: {oracle}",
+        f"value: {value_text}",
+        f"oracle: {oracle_text}",
         f"summands: {summands}",
         f"leaves: {leaves}",
         f"depth: {depth}",
@@ -156,8 +170,8 @@ def _cmd_decompose(args):
         "diagram": list(mu),
         "expr": json.loads(forms["json"]),
         "text": forms["text"],
-        "value": str(value),
-        "oracle": str(oracle),
+        "value": value_text,
+        "oracle": oracle_text,
         "summands": summands,
         "leaves": leaves,
         "depth": depth,
@@ -166,14 +180,10 @@ def _cmd_decompose(args):
 
 
 def _cmd_enumerate(args):
-    words = diagrams.enumerate_paths(args.a, args.b, cap=args.limit)
-    lines = []
-    items = []
-    for word in words:
-        mu = diagrams.word_to_diagram(args.a, args.b, word)
-        lines.append(f"{word} {diagrams.format_diagram(mu)}".rstrip())
-        items.append({"word": word, "diagram": list(mu)})
-    results = {"a": args.a, "b": args.b, "count": len(words), "paths": items}
+    paths = diagrams.enumerate_paths(args.a, args.b, cap=args.limit)
+    lines = [f"{word} {diagrams.format_diagram(mu)}".rstrip() for word, mu in paths]
+    items = [{"word": word, "diagram": mu} for word, mu in paths]
+    results = {"a": args.a, "b": args.b, "count": len(paths), "paths": items}
     return lines, results, []
 
 
@@ -231,23 +241,25 @@ def _cmd_expand(args):
         lc = diagrams.count_rect(*left)
         rc = diagrams.count_rect(*right)
         total += lc * rc
+        lt, rt = _digits(lc), _digits(rc)
         lines.append(
-            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lc} * {rc} = {lc * rc}"
+            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {_digits(lc * rc)}"
         )
         items.append(
             {
                 "left": list(left),
                 "right": list(right),
-                "left_count": str(lc),
-                "right_count": str(rc),
+                "left_count": lt,
+                "right_count": rt,
             }
         )
     step, diff = verify.width_step(a, b, family)
+    total_text, diff_text = _digits(total), _digits(diff)
     failures = []
     if total != diff:
-        failures.append(f"term sum {total} differs from width step {diff}")
-    lines.append(f"sum: {total}")
-    lines.append(f"width step {step} = {diff}")
+        failures.append(f"term sum {total_text} differs from width step {diff_text}")
+    lines.append(f"sum: {total_text}")
+    lines.append(f"width step {step} = {diff_text}")
     lines.append("RESULT: " + ("PASS" if not failures else "FAIL"))
     results = {
         "a": a,
@@ -255,8 +267,8 @@ def _cmd_expand(args):
         "family": family,
         "n": n,
         "terms": items,
-        "sum": str(total),
-        "difference": str(diff),
+        "sum": total_text,
+        "difference": diff_text,
     }
     return lines, results, failures
 
@@ -277,9 +289,9 @@ def _cmd_formula(args):
     arity, fn = FORMULAS[args.name]
     if len(args.values) != arity:
         raise ValueError(f"{args.name} takes {arity} integers, got {len(args.values)}")
-    value = fn(*args.values)
-    results = {"name": args.name, "values": args.values, "result": str(value)}
-    return [str(value)], results, []
+    value = _digits(fn(*args.values))
+    results = {"name": args.name, "values": args.values, "result": value}
+    return [value], results, []
 
 
 def _build_parser() -> argparse.ArgumentParser:

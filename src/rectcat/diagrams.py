@@ -6,14 +6,16 @@ unit right steps (letter "1"), staying weakly below the corner-to-corner
 diagonal: after d down and r right steps the path is admissible iff
 b*d >= a*r.  Touching the diagonal is allowed.
 
-A path is stored either as its word (a string over "01", a zeros and b ones)
-or as its staircase diagram: the numbers of boxes strictly between the path
-and the left edge, one entry per row, bottom row first.  Diagrams are weakly
-decreasing tuples with trailing zeros dropped, so the diagram of the leftmost
-path is the empty tuple.  The largest diagram any path in the rectangle can
-carve out is the Christoffel staircase with row r holding floor(b*(a-r)/a)
-boxes; a diagram belongs to some (a,b)-path exactly when it fits inside that
-staircase.
+A path is stored as its word (a string over "01", a zeros and b ones), as
+its staircase diagram (the numbers of boxes strictly between the path and the
+left edge, one entry per row, bottom row first, trailing zeros dropped, so the
+leftmost path has the empty diagram), or, inside this module, as xs: the x
+position of each down step, top row first.  The path is lowest just before
+each down step, so it is admissible iff xs[i] <= b*i // a for every i; these
+bounds are the maximal (Christoffel) staircase read top-down, whose row r holds
+floor(b*(a-r)/a) boxes.  The diagram is xs[:0:-1] without trailing zeros, and
+words compare lexicographically ("0" before "1") exactly as their xs do.  A
+diagram belongs to some (a,b)-path exactly when it fits inside the staircase.
 
 count_paths is the counting oracle for the whole package: a row-by-row
 dynamic program over sub-diagrams, exact in arbitrary-precision integers.
@@ -94,6 +96,21 @@ def fits_in(a: int, b: int, mu) -> bool:
     return len(mu) <= len(bounds) and all(x <= c for x, c in zip(mu, bounds))
 
 
+def _downs(word: str):
+    """The x position of each down step of ``word``, top row first."""
+    return accumulate(map(len, word.split("0")[:-1]))
+
+
+def _word(b: int, xs) -> str:
+    """Inverse of _downs: the runs of right steps between the down steps."""
+    return "0".join("1" * (x - prev) for prev, x in zip([0, *xs], [*xs, b]))
+
+
+def _diagram(xs) -> Diagram:
+    """Diagram of admissible ``xs``: xs[:0:-1] less the zeros xs starts with."""
+    return tuple(xs[: xs.count(0) - 1 : -1])
+
+
 def is_valid_word(a: int, b: int, word: str) -> bool:
     """True iff ``word`` stays weakly below the (a,b)-diagonal.
 
@@ -108,15 +125,7 @@ def is_valid_word(a: int, b: int, word: str) -> bool:
             f"word needs {a} down and {b} right steps, got "
             f"{word.count('0')} and {word.count('1')}"
         )
-    downs = rights = 0
-    for ch in word:
-        if ch == "0":
-            downs += 1
-        else:
-            rights += 1
-            if b * downs < a * rights:
-                return False
-    return True
+    return all(a * x <= b * i for i, x in enumerate(_downs(word)))
 
 
 def word_to_diagram(a: int, b: int, word: str) -> Diagram:
@@ -127,16 +136,7 @@ def word_to_diagram(a: int, b: int, word: str) -> Diagram:
     """
     if not is_valid_word(a, b, word):
         raise ValueError(f"word {word!r} leaves the {a}x{b} staircase region")
-    xs = []
-    rights = 0
-    for ch in word:
-        if ch == "1":
-            rights += 1
-        else:
-            xs.append(rights)
-    # xs[i] is the x position of the (i+1)-th down step; the first one is
-    # always at x = 0, which is the implicit empty top row.
-    return as_diagram(xs[::-1][: a - 1])
+    return _diagram(list(_downs(word)))
 
 
 def diagram_to_word(a: int, b: int, mu) -> str:
@@ -145,16 +145,7 @@ def diagram_to_word(a: int, b: int, mu) -> str:
     mu = as_diagram(mu)
     if not fits_in(a, b, mu):
         raise ValueError(f"diagram {mu} does not fit the {a}x{b} staircase")
-    # Down-step x positions from the top row to the bottom one.
-    xs = [0] * (a - len(mu)) + list(mu[::-1])
-    out = []
-    rights = 0
-    for x in xs:
-        out.append("1" * (x - rights))
-        out.append("0")
-        rights = x
-    out.append("1" * (b - rights))
-    return "".join(out)
+    return _word(b, [0] * (a - len(mu)) + list(mu[::-1]))
 
 
 def count_paths(mu) -> int:
@@ -196,34 +187,29 @@ def _enum_cap(cap: int | None) -> int:
     return DEFAULT_ENUM_CAP
 
 
-def enumerate_paths(a: int, b: int, cap: int | None = None) -> list[str]:
-    """All (a,b)-Dyck words in lexicographic order ("0" before "1").
+def enumerate_paths(a: int, b: int, cap: int | None = None) -> list[tuple[str, Diagram]]:
+    """Every (a,b)-Dyck path as ``(word, diagram)``, words in lexicographic order.
 
-    Refuses with TooManyPaths when the count exceeds ``cap`` (default 10**6,
-    overridable via the RECTCAT_MAX_ENUM environment variable).
+    Refuses with TooManyPaths, before building any path, when the count
+    exceeds ``cap`` (default 10**6, overridable via the RECTCAT_MAX_ENUM
+    environment variable).
     """
     check_rect(a, b)
     cap = _enum_cap(cap)
     total = count_rect(a, b)
     if total > cap:
         raise TooManyPaths(total, cap)
-    words: list[str] = []
-    buf: list[str] = []
-
-    def extend(downs: int, rights: int) -> None:
-        if downs == a and rights == b:
-            words.append("".join(buf))
-            return
-        # Any admissible prefix completes (append downs first), so these two
-        # feasibility checks are the only pruning needed.
-        if downs < a:
-            buf.append("0")
-            extend(downs + 1, rights)
-            buf.pop()
-        if rights < b and b * downs >= a * (rights + 1):
-            buf.append("1")
-            extend(downs, rights + 1)
-            buf.pop()
-
-    extend(0, 0)
-    return words
+    # An odometer over the down-step positions, xs[i] running from xs[i-1] up
+    # to b*i // a: advance the last position below its bound and pull every
+    # later one up to it, the least each may take.
+    bounds = [b * i // a for i in range(a)]
+    xs = [0] * a
+    paths = []
+    while True:
+        paths.append((_word(b, xs), _diagram(xs)))
+        i = a - 1
+        while i and xs[i] == bounds[i]:
+            i -= 1
+        if not i:
+            return paths
+        xs[i:] = [xs[i] + 1] * (a - i)

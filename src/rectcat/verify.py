@@ -70,16 +70,11 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
     return res
 
 
-def _subdiagrams(a: int, b: int):
-    for word in diagrams.enumerate_paths(a, b):
-        yield diagrams.word_to_diagram(a, b, word)
-
-
 def check_split_contract(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("split-contract-exhaustive")
     for a in range(1, min(max_a, 6) + 1):
         for b in range(1, min(max_b, 8) + 1):
-            for mu in _subdiagrams(a, b):
+            for _, mu in diagrams.enumerate_paths(a, b):
                 for r in range(1, len(mu) + 1):
                     beyond = mu[r] if r < len(mu) else 0
                     if mu[r - 1] <= beyond:
@@ -101,7 +96,7 @@ def check_decomposition(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
-            for mu in _subdiagrams(a, b):
+            for _, mu in diagrams.enumerate_paths(a, b):
                 want = diagrams.count_paths(mu)
                 got = decomposition.h_value(decomposition.decompose(mu))
                 res.check(got == want, f"decompose({mu}) values to {got}, oracle {want}")

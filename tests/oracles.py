@@ -7,6 +7,7 @@ reproduced here by coincidence to slip through.  Everything is exact and
 deliberately slow; keep the ranges small.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
@@ -74,6 +75,11 @@ def _partitions_by_multiplicity(d: int, largest: int):
     for mult in range(d // largest + 1):
         for rest in _partitions_by_multiplicity(d - mult * largest, largest - 1):
             yield {largest: mult, **rest} if mult else rest
+
+
+def z_lambda(parts) -> int:
+    """Centralizer constant z_lambda = prod_i i^{m_i} * m_i! over part multiplicities."""
+    return prod(part**mult * factorial(mult) for part, mult in Counter(parts).items())
 
 
 def count_by_partition_sum(m: int, n: int) -> int:

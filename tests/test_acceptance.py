@@ -137,8 +137,7 @@ def test_criterion_5_theorem_sweeps():
 def test_criterion_6_split_and_telescope_contracts():
     for a in range(1, 7):
         for b in range(1, 9):
-            for word in enumerate_paths(a, b):
-                mu = word_to_diagram(a, b, word)
+            for _, mu in enumerate_paths(a, b):
                 for r in range(1, len(mu) + 1):
                     if mu[r - 1] <= (mu[r] if r < len(mu) else 0):
                         continue
@@ -168,16 +167,15 @@ def test_criterion_6_split_and_telescope_contracts():
 def test_criterion_7_decomposition_soundness():
     for a in range(1, 6):
         for b in range(1, 8):
-            for word in enumerate_paths(a, b):
-                mu = word_to_diagram(a, b, word)
+            for _, mu in enumerate_paths(a, b):
                 assert h_value(decompose(mu)) == count_paths(mu)
     rng = random.Random(7)
-    pools: dict[tuple[int, int], list[str]] = {}
+    pools: dict[tuple[int, int], list[tuple[str, tuple[int, ...]]]] = {}
     for _ in range(500):
         a, b = rng.randint(1, 8), rng.randint(1, 12)
         if (a, b) not in pools:
             pools[a, b] = enumerate_paths(a, b)
-        mu = word_to_diagram(a, b, rng.choice(pools[a, b]))
+        _, mu = rng.choice(pools[a, b])
         assert h_value(decompose(mu)) == count_paths(mu)
     rendered = render(decompose((4, 3, 1)))
     assert rendered == "C4 + C3 + C2*C2"
@@ -187,15 +185,15 @@ def test_criterion_7_decomposition_soundness():
 def test_criterion_8_bijection_and_enumeration():
     for a in range(1, 9):
         for b in range(1, 9):
-            words = enumerate_paths(a, b)
+            paths = enumerate_paths(a, b)
             diagrams_seen = set()
-            for word in words:
-                mu = word_to_diagram(a, b, word)
+            for word, mu in paths:
+                assert word_to_diagram(a, b, word) == mu
                 diagrams_seen.add(mu)
                 assert diagram_to_word(a, b, mu) == word
-            assert len(diagrams_seen) == len(words)
+            assert len(diagrams_seen) == len(paths)
             if a <= 6 and b <= 6:
-                assert len(words) == count_rect(a, b)
+                assert len(paths) == count_rect(a, b)
     assert all(catalan(n) == count_rect(n, n) for n in range(1, 11))
     report(8, True, "word-diagram round trip, enumeration counts, and Catalan squares agree")
 

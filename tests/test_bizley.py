@@ -1,14 +1,14 @@
 """Partition machinery and the partition-sum rectangle count."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_by_partition_sum
-from rectcat import bizley_count, coprime_catalan, count_rect, partitions, phi, z_of
+from oracles import count_by_partition_sum, z_lambda
+from rectcat import bizley_count, coprime_catalan, count_rect, partitions, phi
 from rectcat import bizley as bizley_mod
 
 
@@ -36,27 +36,6 @@ def test_partitions_shape():
 def test_partitions_rejects_nonpositive():
     with pytest.raises(ValueError):
         partitions(0)
-
-
-def test_z_of_known_values():
-    assert z_of((1, 1)) == 2
-    assert z_of((2,)) == 2
-    assert z_of((3, 1, 1)) == 6
-    assert z_of((2, 2, 1)) == 8
-    assert z_of((5,)) == 5
-
-
-def test_z_of_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        z_of(())
-    with pytest.raises(ValueError):
-        z_of((2, 0))
-
-
-def test_z_of_class_equation():
-    # sum over partitions of d of d!/z_lambda counts all permutations of d
-    for d in range(1, 9):
-        assert sum(Fraction(factorial(d), z_of(lam)) for lam in partitions(d)) == factorial(d)
 
 
 # ---------------------------------------------------------------------- phi
@@ -118,7 +97,7 @@ def test_bizley_agrees_with_z_weighted_form():
             term = Fraction(1)
             for part in lam:
                 term *= part * phi(a, b, part)
-            total += term / z_of(lam)
+            total += term / z_lambda(lam)
         assert total.denominator == 1
         return int(total)
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -53,6 +54,20 @@ def test_count_auto_on_high_gcd_finishes(capsys, a, b):
     results = json.loads(out)["results"]
     assert results["resolved_method"] == "bizley"
     assert int(results["count"]) == diagrams.count_rect(a, b)
+
+
+def test_count_past_the_int_str_digit_limit(capsys, tmp_path):
+    # 7,302 digits, past the 4300 that str() converts on Python 3.11+
+    want = str(Decimal(formulas.coprime_catalan(10001, 15002)))
+    assert len(want) == 7302
+    assert run(capsys, "count", "10001", "15002") == (0, want + "\n", "")
+    code, out, err = run(capsys, "count", "10001", "15002", "--json")
+    assert (code, err, json.loads(out)["results"]["count"]) == (0, "", want)
+    cache = tmp_path / "counts.csv"
+    assert run(capsys, "count", "10001", "15002", "--cache", str(cache)) == (0, want + "\n", "")
+    with open(cache, newline="") as fh:
+        assert list(csv.reader(fh))[1][:4] == ["10001", "15002", "coprime", want]
+    assert run(capsys, "formula", "coprime", "10001", "15002") == (0, want + "\n", "")
 
 
 def test_count_json_frozen(capsys):
@@ -209,6 +224,18 @@ def test_enumerate_output(capsys):
     assert len(out.splitlines()) == 5
 
 
+@pytest.mark.parametrize("a, b", [(1, 1500), (2, 1200)])
+def test_enumerate_long_thin_rectangles(capsys, a, b):
+    # words of 1501 and 1202 letters: deeper than a recursive walk can go
+    code, out, err = run(capsys, "enumerate", str(a), str(b))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == diagrams.count_rect(a, b)
+    top = diagrams.christoffel_diagram(a, b)
+    word = diagrams.diagram_to_word(a, b, top)
+    assert lines[-1] == f"{word} {diagrams.format_diagram(top)}".rstrip()
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "2", "--json")
     assert code == 0
@@ -238,6 +265,29 @@ def test_enumerate_env_cap(capsys, monkeypatch):
 
 
 # ------------------------------------------------------ verify / identities
+
+
+def test_verify_defaults(capsys):
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "coprime-formula-vs-oracle  cells=52      ok",
+        "fuss-formula-vs-oracle     cells=25      ok",
+        "prime-dispatch-vs-oracle   cells=40      ok",
+        "bizley-vs-oracle           cells=80      ok",
+        "catalan-on-squares         cells=8       ok",
+        "theorem1-vs-oracle         cells=15      ok",
+        "theorem2-vs-oracle         cells=12      ok",
+        "rule2-upper-telescopes     cells=12      ok",
+        "rule2-lower-telescopes     cells=16      ok",
+        "split-contract-exhaustive  cells=2331    ok",
+        "decomposition-vs-oracle    cells=415     ok",
+        "q-boxes-vs-row-sum         cells=80      ok",
+        "delta-rows-vs-q-step       cells=35      ok",
+        "delta-closed-forms         cells=288     ok",
+        "special-row-guard          cells=9       ok",
+        "RESULT: PASS (15 checks, 3418 cells)",
+    ]
 
 
 def test_verify_small_bounds(capsys):

@@ -25,7 +25,6 @@ from rectcat import (
     iso_rows,
     max_isosceles,
     render,
-    word_to_diagram,
 )
 from rectcat import decomposition as decomposition_mod
 
@@ -140,13 +139,13 @@ def test_decomposition_sound_exhaustive():
 
 def test_decomposition_sound_random():
     rng = random.Random(20260817)
-    words_by_rect: dict[tuple[int, int], list[str]] = {}
+    paths_by_rect: dict[tuple[int, int], list[tuple[str, tuple[int, ...]]]] = {}
     for _ in range(500):
         a = rng.randint(1, 8)
         b = rng.randint(1, 12)
-        if (a, b) not in words_by_rect:
-            words_by_rect[a, b] = enumerate_paths(a, b)
-        mu = word_to_diagram(a, b, rng.choice(words_by_rect[a, b]))
+        if (a, b) not in paths_by_rect:
+            paths_by_rect[a, b] = enumerate_paths(a, b)
+        _, mu = rng.choice(paths_by_rect[a, b])
         assert h_value(decompose(mu)) == count_paths(mu)
 
 

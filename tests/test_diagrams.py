@@ -1,5 +1,7 @@
 """Diagram encoding, the word bijection, the counting DP, and enumeration."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,19 @@ def test_is_valid_word():
     assert not is_valid_word(2, 2, "1001")
 
 
+def test_is_valid_word_exhaustive():
+    # every arrangement of a downs and b rights, against the brute-force filter
+    for a in range(1, 7):
+        for b in range(1, 7):
+            valid = set(words_by_filter(a, b))
+            for downs in combinations(range(a + b), a):
+                word = "".join("0" if i in downs else "1" for i in range(a + b))
+                assert is_valid_word(a, b, word) == (word in valid)
+                if word not in valid:
+                    with pytest.raises(ValueError):
+                        word_to_diagram(a, b, word)
+
+
 def test_is_valid_word_rejects_malformed():
     with pytest.raises(ValueError):
         is_valid_word(2, 2, "0021")
@@ -132,8 +147,8 @@ def test_round_trip_exhaustive():
     for a in range(1, 9):
         for b in range(1, 9):
             seen = set()
-            for word in enumerate_paths(a, b):
-                mu = word_to_diagram(a, b, word)
+            for word, mu in enumerate_paths(a, b):
+                assert mu == word_to_diagram(a, b, word)
                 assert fits_in(a, b, mu)
                 assert mu not in seen
                 seen.add(mu)
@@ -217,22 +232,33 @@ def test_count_rect_squares_are_catalan():
 
 
 def test_enumerate_examples():
-    assert enumerate_paths(2, 2) == ["0011", "0101"]
-    assert enumerate_paths(2, 3) == ["00111", "01011"]
-    assert enumerate_paths(1, 4) == ["01111"]
-    assert enumerate_paths(3, 3) == ["000111", "001011", "001101", "010011", "010101"]
+    assert enumerate_paths(2, 2) == [("0011", ()), ("0101", (1,))]
+    assert enumerate_paths(2, 3) == [("00111", ()), ("01011", (1,))]
+    assert enumerate_paths(1, 4) == [("01111", ())]
+    assert enumerate_paths(3, 3) == [
+        ("000111", ()),
+        ("001011", (1,)),
+        ("001101", (2,)),
+        ("010011", (1, 1)),
+        ("010101", (2, 1)),
+    ]
 
 
 def test_enumerate_matches_filter_oracle_with_order():
     for a in range(1, 6):
         for b in range(1, 6):
-            assert enumerate_paths(a, b) == words_by_filter(a, b)
+            assert [word for word, _ in enumerate_paths(a, b)] == words_by_filter(a, b)
 
 
 def test_enumerate_counts_match_oracle():
     for a in range(1, 7):
         for b in range(1, 7):
             assert len(enumerate_paths(a, b)) == count_rect(a, b)
+
+
+def test_enumerate_long_thin_rectangle():
+    # a 1501-letter word: a walk that recurses once per letter overflows the stack
+    assert enumerate_paths(1, 1500) == [("0" + "1" * 1500, ())]
 
 
 def test_enumerate_cap():
