@@ -5,6 +5,9 @@ stdout).  Exit codes: 0 success, 2 usage or domain error, 3 verification
 failure or internal cross-check mismatch.  --json swaps the text output for
 a single versioned JSON object; counts travel as decimal strings there, so
 no reader has to round-trip big integers through floats.
+
+A handler returns (text lines, JSON results, failures).  decompose and
+enumerate build only the form that --json selects and leave the other None.
 """
 
 from __future__ import annotations
@@ -154,37 +157,39 @@ def _cmd_decompose(args):
     oracle = diagrams.count_paths(mu)
     value_text, oracle_text = _digits(value), _digits(oracle)
     summands, leaves, depth = decomposition.expr_stats(expr)
-    forms = {fmt: decomposition.render(expr, fmt) for fmt in ("text", "json")}
     failures = []
     if value != oracle:
         failures.append(f"decomposition values to {value_text}, oracle {oracle_text}")
+    if args.json:
+        results = {
+            "diagram": list(mu),
+            "expr": decomposition.tree(expr),
+            "text": decomposition.render(expr),
+            "value": value_text,
+            "oracle": oracle_text,
+            "summands": summands,
+            "leaves": leaves,
+            "depth": depth,
+        }
+        return None, results, failures
     lines = [
-        f"expr: {forms[args.format]}",
+        f"expr: {decomposition.render(expr, args.format)}",
         f"value: {value_text}",
         f"oracle: {oracle_text}",
         f"summands: {summands}",
         f"leaves: {leaves}",
         f"depth: {depth}",
     ] + [f"FAIL: {f}" for f in failures]
-    results = {
-        "diagram": list(mu),
-        "expr": json.loads(forms["json"]),
-        "text": forms["text"],
-        "value": value_text,
-        "oracle": oracle_text,
-        "summands": summands,
-        "leaves": leaves,
-        "depth": depth,
-    }
-    return lines, results, failures
+    return lines, None, failures
 
 
 def _cmd_enumerate(args):
     paths = diagrams.enumerate_paths(args.a, args.b, cap=args.limit)
-    lines = [f"{word} {diagrams.format_diagram(mu)}".rstrip() for word, mu in paths]
-    items = [{"word": word, "diagram": mu} for word, mu in paths]
-    results = {"a": args.a, "b": args.b, "count": len(paths), "paths": items}
-    return lines, results, []
+    if args.json:
+        items = [{"word": word, "diagram": mu} for word, mu in paths]
+        return None, {"a": args.a, "b": args.b, "count": len(paths), "paths": items}, []
+    # enumerate_paths hands out valid diagrams, so no format_diagram re-check.
+    return [f"{word} {','.join(map(str, mu))}".rstrip() for word, mu in paths], None, []
 
 
 def _report_checks(checks):

@@ -12,9 +12,14 @@ rectangle count through this calculus.
 The removed box is pinned to the outer corner of the topmost row still in
 excess of the largest inscribed isosceles staircase; that makes decompose a
 pure function with one well-defined tree per diagram.  Results are memoized
-by row tuple, so equal sub-diagrams share the very same node objects; all
-tree consumers walk the structure iteratively and treat sharing as the
-transparent optimization it is.
+by row tuple, so equal sub-diagrams share the very same node objects; the
+folds here (h_value, expr_stats, the text normal form and ``tree``) walk the
+structure iteratively and compute each shared node once.
+
+Two printed forms exist: render(expr) is the sum-of-products normal form, one
+term per summand, and tree(expr) is the tree as built in plain dicts, which
+render(expr, "json") dumps.  A caller that needs only one of them builds only
+that one.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as cartesian
+from functools import lru_cache, reduce
 from math import prod
 
 from .comparison import through_box_split
@@ -155,30 +159,40 @@ def h_value(expr) -> int:
 
 def expr_stats(expr) -> tuple[int, int, int]:
     """(summands in sum-of-products normal form, leaf count, tree depth)."""
-    summands = _fold(expr, lambda nd: 1, sum, prod)
-    leaves = _fold(expr, lambda nd: 1, sum, sum)
-    depth = _fold(expr, lambda nd: 1, lambda v: 1 + max(v), lambda v: 1 + max(v))
-    return summands, leaves, depth
+
+    def combine(count_summands):  # sum under a Sum, prod under a Prod
+        return lambda vals: (
+            count_summands(v[0] for v in vals),
+            sum(v[1] for v in vals),
+            1 + max(v[2] for v in vals),
+        )
+
+    return _fold(expr, lambda nd: (1, 1, 1), combine(sum), combine(prod))
 
 
-def _normal_terms(expr) -> list[tuple[str, ...]]:
-    # Distribute products over sums; a term is the tuple of its Iso labels,
+def _times(xs: list[str], ys: list[str]) -> list[str]:
+    # Every term of xs times every term of ys, xs outermost; "" is the empty
+    # product, which drops out of a product with anything.
+    return [f"{x}*{y}" if x and y else x or y for x in xs for y in ys]
+
+
+def _normal_terms(expr) -> list[str]:
+    # Distribute products over sums; a term is its Iso labels joined by "*",
     # One factors dropped, construction order kept.
-    def across(vals):
-        return [
-            tuple(label for part in combo for label in part)
-            for combo in cartesian(*vals)
-        ]
-
     return _fold(
         expr,
-        leaf=lambda nd: [()] if isinstance(nd, One) else [(f"C{nd.n}",)],
+        leaf=lambda nd: [""] if isinstance(nd, One) else [f"C{nd.n}"],
         combine_sum=lambda vals: [term for v in vals for term in v],
-        combine_prod=across,
+        combine_prod=lambda vals: reduce(_times, vals),
     )
 
 
-def _to_obj(expr):
+def tree(expr) -> dict:
+    """The tree as built, as plain dicts and lists.
+
+    Schema: {"type":"one"} | {"type":"iso","n":N} | {"type":"sum","terms":[...]}
+    | {"type":"prod","factors":[...]}.  A shared node becomes one shared dict.
+    """
     return _fold(
         expr,
         leaf=lambda nd: {"type": "one"} if isinstance(nd, One) else {"type": "iso", "n": nd.n},
@@ -188,18 +202,14 @@ def _to_obj(expr):
 
 
 def render(expr, fmt: str = "text") -> str:
-    """Render the expression.
+    """Render the expression as one string.
 
     "text" flattens to sum-of-products normal form: terms joined by " + ",
     factors by "*", Iso(n) printed as Cn, an all-One product as "1".
-    "json" serializes the tree as built, with the schema
-    {"type":"one"} | {"type":"iso","n":N} | {"type":"sum","terms":[...]}
-    | {"type":"prod","factors":[...]}.
+    "json" is the compact JSON dump of ``tree(expr)``.
     """
     if fmt == "text":
-        return " + ".join(
-            "*".join(term) if term else "1" for term in _normal_terms(expr)
-        )
+        return " + ".join(term or "1" for term in _normal_terms(expr))
     if fmt == "json":
-        return json.dumps(_to_obj(expr), separators=(",", ":"))
+        return json.dumps(tree(expr), separators=(",", ":"))
     raise ValueError(f"unknown render format {fmt!r}")

@@ -99,3 +99,24 @@ def count_by_partition_sum(m: int, n: int) -> int:
     if total.denominator != 1:
         raise ArithmeticError(f"partition sum for {m}x{n} is not integral: {total}")
     return int(total)
+
+
+def normal_form(expr) -> list[tuple[str, ...]]:
+    """Sum-of-products expansion of a decomposition tree, by plain recursion.
+
+    A term is the tuple of its Iso labels "C<n>" in construction order, One
+    factors dropped; a sum lists its terms' expansions in order, a product
+    takes every combination, first factor outermost.  Nodes are told apart by
+    their fields (terms, factors, n), and shared nodes are expanded afresh
+    wherever they occur: keep the trees small.
+    """
+    if hasattr(expr, "terms"):
+        return [term for part in expr.terms for term in normal_form(part)]
+    if hasattr(expr, "factors"):
+        terms = [()]
+        for factor in expr.factors:
+            terms = [t + u for t in terms for u in normal_form(factor)]
+        return terms
+    if hasattr(expr, "n"):
+        return [(f"C{expr.n}",)]
+    return [()]

@@ -3,10 +3,11 @@
 import csv
 import json
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
-from rectcat import bizley, cli, comparison, diagrams, formulas
+from rectcat import bizley, cli, comparison, decomposition, diagrams, formulas
 
 
 def run(capsys, *argv):
@@ -201,6 +202,56 @@ def test_decompose_json_format(capsys):
     )
 
 
+def test_decompose_json_frozen(capsys):
+    code, out, err = run(capsys, "decompose", "4", "6", "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "decompose", "failures": [], "results": {"depth": 4, '
+        '"diagram": [4, 3, 1], "expr": {"terms": [{"terms": [{"n": 4, "type": "iso"}, '
+        '{"factors": [{"n": 3, "type": "iso"}, {"type": "one"}], "type": "prod"}], '
+        '"type": "sum"}, {"factors": [{"n": 2, "type": "iso"}, {"n": 2, "type": "iso"}], '
+        '"type": "prod"}], "type": "sum"}, "leaves": 5, "oracle": "23", "summands": 3, '
+        '"text": "C4 + C3 + C2*C2", "value": "23"}, "schema_version": 1}\n'
+    )
+
+
+def test_decompose_reports_match_render(capsys):
+    for a in range(1, 9):
+        for b in range(1, 13):
+            expr = decomposition.decompose(diagrams.christoffel_diagram(a, b))
+            text, dump = decomposition.render(expr), decomposition.render(expr, "json")
+            code, out, _ = run(capsys, "decompose", str(a), str(b), "--json")
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert results["expr"] == json.loads(dump)
+            assert results["text"] == text
+            code, out, _ = run(capsys, "decompose", str(a), str(b), "--format", "json")
+            assert code == 0
+            assert out.splitlines()[0] == "expr: " + dump
+
+
+@pytest.mark.parametrize(
+    "flags, formats",
+    [([], ["text"]), (["--format", "json"], ["json"]), (["--json"], ["text"])],
+)
+def test_decompose_renders_each_form_once(capsys, monkeypatch, flags, formats):
+    calls = []
+    real = decomposition.render
+
+    def counting(expr, fmt="text"):
+        calls.append(fmt)
+        return real(expr, fmt)
+
+    def no_loads(*args, **kwargs):
+        raise AssertionError("decompose re-parses its own JSON")
+
+    monkeypatch.setattr(decomposition, "render", counting)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps, loads=no_loads))
+    code, out, err = run(capsys, "decompose", "6", "9", *flags)
+    assert (code, err) == (0, "")
+    assert calls == formats
+
+
 def test_decompose_argument_errors(capsys):
     code, _, err = run(capsys, "decompose", "--diagram", "1,x")
     assert code == 2
@@ -245,6 +296,16 @@ def test_enumerate_json(capsys):
         {"word": "0011", "diagram": []},
         {"word": "0101", "diagram": [1]},
     ]
+
+
+def test_enumerate_json_paths_are_the_library_pairs(capsys):
+    for a in range(1, 6):
+        for b in range(1, 8):
+            code, out, _ = run(capsys, "enumerate", str(a), str(b), "--json")
+            assert code == 0
+            items = json.loads(out)["results"]["paths"]
+            pairs = diagrams.enumerate_paths(a, b)
+            assert [(p["word"], tuple(p["diagram"])) for p in items] == pairs
 
 
 def test_enumerate_limit(capsys):

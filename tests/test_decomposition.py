@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import subdiagrams_by_filter
+from oracles import normal_form, subdiagrams_by_filter
 from rectcat import (
     Iso,
     One,
@@ -25,6 +25,7 @@ from rectcat import (
     iso_rows,
     max_isosceles,
     render,
+    tree,
 )
 from rectcat import decomposition as decomposition_mod
 
@@ -184,6 +185,52 @@ def test_render_text_distributes_products():
     assert render(expr, "text") == "C2*C3 + C3"
 
 
+def oracle_text(expr) -> str:
+    return " + ".join("*".join(term) or "1" for term in normal_form(expr))
+
+
+def test_render_text_matches_normal_form_oracle():
+    for a in range(1, 9):
+        for b in range(1, 13):
+            expr = decompose(christoffel_diagram(a, b))
+            assert render(expr, "text") == oracle_text(expr)
+
+
+@st.composite
+def subdiagrams(draw, max_a=8, max_b=12):
+    a = draw(st.integers(1, max_a))
+    b = draw(st.integers(1, max_b))
+    rows = []
+    for top in christoffel_diagram(a, b):
+        rows.append(draw(st.integers(0, min([top, *rows[-1:]]))))
+    return as_diagram(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdiagrams())
+def test_render_text_matches_normal_form_oracle_on_subdiagrams(mu):
+    expr = decompose(mu)
+    assert render(expr, "text") == oracle_text(expr)
+
+
+@pytest.mark.parametrize(
+    "expr, text",
+    [
+        (Prod((One(), One())), "1"),
+        (Prod((One(), One(), One())), "1"),
+        (Prod((Iso(2), Iso(3), Iso(4))), "C2*C3*C4"),
+        (Prod((One(), Iso(3), One())), "C3"),
+        (
+            Prod((Sum((Iso(2), One())), Sum((One(), Iso(3))), Sum((Iso(4), Iso(5))))),
+            "C2*C4 + C2*C5 + C2*C3*C4 + C2*C3*C5 + C4 + C5 + C3*C4 + C3*C5",
+        ),
+        (Sum((Prod((One(), One())), Iso(2), One())), "1 + C2 + 1"),
+    ],
+)
+def test_render_text_hand_built_products(expr, text):
+    assert render(expr, "text") == oracle_text(expr) == text
+
+
 def test_render_json_frozen():
     assert render(Iso(2), "json") == '{"type":"iso","n":2}'
     assert render(One(), "json") == '{"type":"one"}'
@@ -196,6 +243,7 @@ def test_render_json_frozen():
 def test_render_json_round_trips_structure():
     expr = decompose(christoffel_diagram(4, 6))
     obj = json.loads(render(expr, "json"))
+    assert tree(expr) == obj
 
     def rebuild(node):
         if node["type"] == "one":
