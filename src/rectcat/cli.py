@@ -8,6 +8,8 @@ no reader has to round-trip big integers through floats.
 
 A handler returns (text lines, JSON results, failures).  decompose and
 enumerate build only the form that --json selects and leave the other None.
+A result value may be JSON text already written, which main copies into the
+report as it stands.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 DEFAULT_CHECK_BOUND = 400
+# json.dumps writes this string as "\u0000", which no other report value holds.
+_SPLICE = "\0"
+
+
+class _Verbatim:
+    """A report value given as JSON text already written, in pieces."""
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
 
 
 def _fuss(a: int, b: int) -> int:
@@ -163,7 +174,7 @@ def _cmd_decompose(args):
     if args.json:
         results = {
             "diagram": list(mu),
-            "expr": decomposition.tree(expr),
+            "expr": _Verbatim(decomposition.json_pieces(expr, sort_keys=True)),
             "text": decomposition.render(expr),
             "value": value_text,
             "oracle": oracle_text,
@@ -395,6 +406,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report) -> None:
+    """Print json.dumps(report, sort_keys=True).
+
+    The pieces of each _Verbatim value go to stdout one by one, so no joined
+    copy of them is ever made.
+    """
+    spliced = []
+
+    def splice(value):
+        if not isinstance(value, _Verbatim):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        spliced.append(value.pieces)
+        return _SPLICE
+
+    head, *tails = json.dumps(report, sort_keys=True, default=splice).split(json.dumps(_SPLICE))
+    out = sys.stdout
+    out.write(head)
+    for pieces, tail in zip(spliced, tails):
+        out.writelines(pieces)
+        out.write(tail)
+    out.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -412,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             "results": results,
             "failures": failures,
         }
-        print(json.dumps(report, sort_keys=True))
+        _print_report(report)
     else:
         for line in lines:
             print(line)

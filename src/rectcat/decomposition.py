@@ -13,18 +13,18 @@ The removed box is pinned to the outer corner of the topmost row still in
 excess of the largest inscribed isosceles staircase; that makes decompose a
 pure function with one well-defined tree per diagram.  Results are memoized
 by row tuple, so equal sub-diagrams share the very same node objects; the
-folds here (h_value, expr_stats, the text normal form and ``tree``) walk the
-structure iteratively and compute each shared node once.
+folds here (h_value, expr_stats, the text normal form and ``tree``) and the
+JSON writer walk the structure iteratively and compute each shared node once.
 
 Two printed forms exist: render(expr) is the sum-of-products normal form, one
-term per summand, and tree(expr) is the tree as built in plain dicts, which
-render(expr, "json") dumps.  A caller that needs only one of them builds only
-that one.
+term per summand, and render(expr, "json") is the tree as built in JSON,
+written straight from the expression by json_pieces, which the CLI also uses
+for its --json report.  tree(expr) is the same tree as plain dicts.  A caller
+that needs only one of them builds only that one.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -83,11 +83,13 @@ def iso_rows(n: int) -> Diagram:
 
 def max_isosceles(mu) -> int:
     """Largest n with I_n contained in ``mu`` (always at least 1)."""
-    mu = as_diagram(mu)
-    n = 1
-    while n <= len(mu) and all(mu[r - 1] >= n + 1 - r for r in range(1, n + 1)):
-        n += 1
-    return n
+    return _max_isosceles(as_diagram(mu))
+
+
+def _max_isosceles(mu: Diagram) -> int:
+    # I_n has n - 1 rows and needs mu[r-1] >= n - r boxes in row r, so n is
+    # at most the row count plus one and at most mu[r-1] + r for every row.
+    return min([len(mu) + 1, *(m + r for r, m in enumerate(mu, 1))])
 
 
 def decompose(mu) -> DecompExpr:
@@ -105,7 +107,7 @@ def decompose(mu) -> DecompExpr:
 def _decompose(mu: Diagram) -> DecompExpr:
     if not mu:
         return ONE
-    n = max_isosceles(mu)
+    n = _max_isosceles(mu)
     if mu == iso_rows(n):
         return Iso(n)
     # Topmost row sticking out of I_n; its last box is an outer corner.
@@ -201,15 +203,84 @@ def tree(expr) -> dict:
     )
 
 
+# The JSON text of each node shape in the two styles: One, Iso (formatted
+# with n), the separator between children, and the text around the children
+# of a Sum and of a Prod.  Compact keeps the key order of ``tree``; sorted is
+# what json.dumps(..., sort_keys=True) writes with its default separators.
+_COMPACT = (
+    '{"type":"one"}',
+    '{"type":"iso","n":%d}',
+    ",",
+    {Sum: ('{"type":"sum","terms":[', "]}"), Prod: ('{"type":"prod","factors":[', "]}")},
+)
+_SORTED = (
+    '{"type": "one"}',
+    '{"n": %d, "type": "iso"}',
+    ", ",
+    {Sum: ('{"terms": [', '], "type": "sum"}'), Prod: ('{"factors": [', '], "type": "prod"}')},
+)
+
+
+def json_pieces(expr, sort_keys: bool = False) -> list[str]:
+    """The JSON text of ``tree(expr)`` as strings to be written in order.
+
+    Joined, the pieces are json.dumps(tree(expr), separators=(",", ":")), or
+    json.dumps(tree(expr), sort_keys=True) when ``sort_keys`` is set.  They
+    are written straight from the expression, without recursion.  A node
+    reached along more than one edge is written out once: when it first
+    closes, its pieces collapse into one string, and every later occurrence
+    repeats that string.
+    """
+    one, iso, sep, brackets = _SORTED if sort_keys else _COMPACT
+    edges: dict[int, int] = {}
+    stack = [expr]
+    while stack:
+        for kid in _children(stack.pop()):
+            if id(kid) not in edges:
+                stack.append(kid)
+            edges[id(kid)] = edges.get(id(kid), 0) + 1
+    shared: dict[int, str] = {}
+    out: list[str] = []
+    # Items are nodes to write, text to copy, or (start, node id) where a
+    # shared node closes.
+    stack = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, tuple):
+            start, key = item
+            shared[key] = text = "".join(out[start:])
+            out[start:] = [text]
+        elif isinstance(item, One):
+            out.append(one)
+        elif isinstance(item, Iso):
+            out.append(iso % item.n)
+        elif id(item) in shared:
+            out.append(shared[id(item)])
+        else:
+            opening, closing = brackets[type(item)]
+            if edges.get(id(item), 0) > 1:
+                stack.append((len(out), id(item)))
+            stack.append(closing)
+            kids = _children(item)
+            for kid in kids[:0:-1]:
+                stack += (kid, sep)
+            stack.append(kids[0])
+            out.append(opening)
+    return out
+
+
 def render(expr, fmt: str = "text") -> str:
     """Render the expression as one string.
 
     "text" flattens to sum-of-products normal form: terms joined by " + ",
     factors by "*", Iso(n) printed as Cn, an all-One product as "1".
-    "json" is the compact JSON dump of ``tree(expr)``.
+    "json" is the compact JSON text of ``tree(expr)``, joined from
+    ``json_pieces``.
     """
     if fmt == "text":
         return " + ".join(term or "1" for term in _normal_terms(expr))
     if fmt == "json":
-        return json.dumps(tree(expr), separators=(",", ":"))
+        return "".join(json_pieces(expr))
     raise ValueError(f"unknown render format {fmt!r}")

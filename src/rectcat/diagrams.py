@@ -200,16 +200,22 @@ def enumerate_paths(a: int, b: int, cap: int | None = None) -> list[tuple[str, D
     if total > cap:
         raise TooManyPaths(total, cap)
     # An odometer over the down-step positions, xs[i] running from xs[i-1] up
-    # to b*i // a: advance the last position below its bound and pull every
-    # later one up to it, the least each may take.
+    # to b*i // a: advance the last position below its bound to v and pull
+    # every later one up to v, the least each may take.  The word is spliced
+    # from the one before: it keeps everything up to down step i-1, which
+    # sits at xs[i-1] + i - 1, then runs right to v, steps down a - i times
+    # and runs right to b.
     bounds = [b * i // a for i in range(a)]
     xs = [0] * a
+    word = "0" * a + "1" * b
     paths = []
     while True:
-        paths.append((_word(b, xs), _diagram(xs)))
+        paths.append((word, _diagram(xs)))
         i = a - 1
         while i and xs[i] == bounds[i]:
             i -= 1
         if not i:
             return paths
-        xs[i:] = [xs[i] + 1] * (a - i)
+        v = xs[i] + 1
+        word = word[: xs[i - 1] + i] + "1" * (v - xs[i - 1]) + "0" * (a - i) + "1" * (b - v)
+        xs[i:] = [v] * (a - i)

@@ -120,3 +120,14 @@ def normal_form(expr) -> list[tuple[str, ...]]:
     if hasattr(expr, "n"):
         return [(f"C{expr.n}",)]
     return [()]
+
+
+def max_isosceles_by_scan(mu) -> int:
+    """Largest n with I_n = (n-1, ..., 1) inside ``mu``, trying each n in turn.
+
+    ``mu`` is a normalized diagram, rows bottom-up.
+    """
+    n = 1
+    while n <= len(mu) and all(mu[r - 1] >= n + 1 - r for r in range(1, n + 1)):
+        n += 1
+    return n

@@ -215,19 +215,40 @@ def test_decompose_json_frozen(capsys):
     )
 
 
+def decompose_report(mu) -> str:
+    """The --json stdout of decompose, as json.dumps writes the whole report."""
+    expr = decomposition.decompose(mu)
+    summands, leaves, depth = decomposition.expr_stats(expr)
+    results = {
+        "diagram": list(mu),
+        "expr": decomposition.tree(expr),
+        "text": decomposition.render(expr),
+        "value": str(decomposition.h_value(expr)),
+        "oracle": str(diagrams.count_paths(mu)),
+        "summands": summands,
+        "leaves": leaves,
+        "depth": depth,
+    }
+    report = {"schema_version": 1, "command": "decompose", "results": results, "failures": []}
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
 def test_decompose_reports_match_render(capsys):
     for a in range(1, 9):
         for b in range(1, 13):
-            expr = decomposition.decompose(diagrams.christoffel_diagram(a, b))
-            text, dump = decomposition.render(expr), decomposition.render(expr, "json")
-            code, out, _ = run(capsys, "decompose", str(a), str(b), "--json")
-            assert code == 0
-            results = json.loads(out)["results"]
-            assert results["expr"] == json.loads(dump)
-            assert results["text"] == text
+            mu = diagrams.christoffel_diagram(a, b)
+            assert run(capsys, "decompose", str(a), str(b), "--json") == (
+                0, decompose_report(mu), ""
+            )
             code, out, _ = run(capsys, "decompose", str(a), str(b), "--format", "json")
             assert code == 0
+            dump = json.dumps(decomposition.tree(decomposition.decompose(mu)), separators=(",", ":"))
             assert out.splitlines()[0] == "expr: " + dump
+    for rows in ["", "2", "7,6,4,3,1", "5,5,5", "9,1,1,1", "3,2,2,1,1,0"]:
+        mu = diagrams.parse_diagram(rows)
+        assert run(capsys, "decompose", "--diagram", rows, "--json") == (
+            0, decompose_report(mu), ""
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Sum/product rewriting over isosceles staircases and its Catalan evaluation."""
 
 import json
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import normal_form, subdiagrams_by_filter
+from oracles import max_isosceles_by_scan, normal_form, subdiagrams_by_filter
 from rectcat import (
     Iso,
     One,
@@ -28,6 +30,7 @@ from rectcat import (
     tree,
 )
 from rectcat import decomposition as decomposition_mod
+from rectcat.decomposition import json_pieces
 
 
 # ------------------------------------------------------------------ leaves
@@ -65,6 +68,17 @@ def test_max_isosceles_is_maximal():
         n = max_isosceles(mu)
         grown = iso_rows(n + 1)
         assert any(mu[r - 1] < grown[r - 1] if r <= len(mu) else True for r in range(1, n + 1))
+
+
+def test_max_isosceles_matches_scan_exhaustive():
+    checked = 0
+    for a in range(1, 8):
+        for b in range(1, 10):
+            for rows in subdiagrams_by_filter(christoffel_diagram(a, b)):
+                mu = as_diagram(rows)
+                assert max_isosceles(mu) == max_isosceles_by_scan(mu), mu
+                checked += 1
+    assert checked == 3504
 
 
 # --------------------------------------------------------------- decompose
@@ -255,6 +269,71 @@ def test_render_json_round_trips_structure():
         return Prod(tuple(rebuild(f) for f in node["factors"]))
 
     assert rebuild(obj) == expr
+
+
+def assert_writer_matches_dumps(expr):
+    obj = tree(expr)
+    assert render(expr, "json") == json.dumps(obj, separators=(",", ":"))
+    assert "".join(json_pieces(expr, sort_keys=True)) == json.dumps(obj, sort_keys=True)
+
+
+def test_json_writer_matches_dumps_on_christoffel_diagrams():
+    for a in range(1, 11):
+        for b in range(1, 16):
+            assert_writer_matches_dumps(decompose(christoffel_diagram(a, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdiagrams())
+def test_json_writer_matches_dumps_on_subdiagrams(mu):
+    assert_writer_matches_dumps(decompose(mu))
+
+
+SHARED = Sum((Iso(2), Prod((One(), Iso(3)))))
+OUTER = Sum((SHARED, Prod((SHARED, Iso(4)))))  # SHARED under a Sum and a Prod
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        OUTER,
+        Prod((OUTER, Sum((OUTER, SHARED)))),  # a shared node inside a shared node
+        Prod((SHARED, SHARED)),
+        Sum((Prod((SHARED, SHARED)), Prod((SHARED, SHARED)))),
+        Sum((Prod((Iso(2), SHARED, Iso(4))), One(), SHARED)),
+    ],
+    ids=["sum-and-prod", "nested-shared", "prod-x-x", "shared-prod-x-x", "three-children"],
+)
+def test_json_writer_on_hand_built_dags(expr):
+    assert_writer_matches_dumps(expr)
+
+
+def test_json_writer_writes_a_shared_node_once():
+    pieces = json_pieces(Prod((SHARED, SHARED)))
+    text = render(SHARED, "json")
+    assert pieces == ['{"type":"prod","factors":[', text, ",", text, "]}"]
+    assert pieces[1] is pieces[3]
+
+
+def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the JSON writer changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    k, leaf = 100_000, '{"type":"iso","n":3}'
+    expr = Iso(3)
+    for _ in range(k):
+        expr = Sum((expr, One()))
+    sorted_leaf = '{"n": 3, "type": "iso"}'
+    for got, want in [
+        (render(expr, "json"), '{"type":"sum","terms":[' * k + leaf + ',{"type":"one"}]}' * k),
+        (
+            "".join(json_pieces(expr, sort_keys=True)),
+            '{"terms": [' * k + sorted_leaf + ', {"type": "one"}], "type": "sum"}' * k,
+        ),
+    ]:
+        same = got == want  # a plain bool, so pytest does not diff 2 MB strings
+        assert same, f"first difference at offset {len(os.path.commonprefix([got, want]))}"
 
 
 def test_render_rejects_unknown_format():

@@ -256,6 +256,15 @@ def test_enumerate_counts_match_oracle():
             assert len(enumerate_paths(a, b)) == count_rect(a, b)
 
 
+@pytest.mark.parametrize("a, b", [(130, 3), (3, 160), (60, 4), (2, 1200), (1, 1500)])
+def test_enumerate_pairs_on_long_rectangles(a, b):
+    paths = enumerate_paths(a, b)
+    assert len(paths) == count_rect(a, b)
+    for word, mu in paths:
+        assert word == diagram_to_word(a, b, mu)
+    assert all(x < y for (x, _), (y, _) in zip(paths, paths[1:]))
+
+
 def test_enumerate_long_thin_rectangle():
     # a 1501-letter word: a walk that recurses once per letter overflows the stack
     assert enumerate_paths(1, 1500) == [("0" + "1" * 1500, ())]
