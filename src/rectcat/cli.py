@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -310,7 +311,14 @@ def _cmd_formula(args):
     return [value], results, []
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Parsing leaves the parser as it was, so every main call in a process
+    can use the one tree; it is built lazily so that importing this module
+    stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="rectcat",
         description="Count, enumerate, and decompose Dyck paths in rectangles.",

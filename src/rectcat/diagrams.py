@@ -154,16 +154,19 @@ def count_paths(mu) -> int:
     Equivalently, the number of monotone paths fitting weakly under the
     staircase.  Row-by-row dynamic program: processing rows from the top
     down, t[x] holds the number of fillings of the rows seen so far whose
-    current row has exactly x boxes.  Exact integer arithmetic throughout.
+    current row has exactly x boxes.  A row of x boxes sits under any row
+    above it of at most x boxes, so the next row's table is the prefix sums
+    of t.  Going down, row lengths weakly increase, so the next row is never
+    shorter than t; its entries past the end of t hold the full sum, which
+    is the last prefix sum repeated.  Exact integer arithmetic throughout.
     """
     mu = as_diagram(mu)
     if not mu:
         return 1
     t = [1] * (mu[-1] + 1)
     for length in mu[-2::-1]:
-        pref = list(accumulate(t))
-        top = len(t) - 1
-        t = [pref[min(x, top)] for x in range(length + 1)]
+        t = list(accumulate(t))
+        t += [t[-1]] * (length + 1 - len(t))
     return sum(t)
 
 

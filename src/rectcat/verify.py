@@ -75,6 +75,7 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
     for a in range(1, min(max_a, 6) + 1):
         for b in range(1, min(max_b, 8) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
+                want = diagrams.count_paths(mu)
                 for r in range(1, len(mu) + 1):
                     beyond = mu[r] if r < len(mu) else 0
                     if mu[r - 1] <= beyond:
@@ -84,7 +85,6 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
                     got = diagrams.count_paths(slim) + diagrams.count_paths(
                         upper
                     ) * diagrams.count_paths(lower)
-                    want = diagrams.count_paths(mu)
                     res.check(
                         got == want,
                         f"split of {mu} at row {r}: {got}, oracle {want}",

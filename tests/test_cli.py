@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output text, JSON reports, exit codes, caching."""
 
+import argparse
 import csv
 import json
 from decimal import Decimal
@@ -492,6 +493,93 @@ def test_unknown_arguments_exit_2():
 
 
 # ----------------------------------------------------------- cross-cutting
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "count", "2", "3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [
+        ["count", "6", "9"],
+        ["christoffel", "4", "6", "--json"],
+        ["decompose", "--diagram", "4,3,1"],
+        ["enumerate", "3", "3", "--json"],
+        ["formula", "catalan", "5"],
+    ]:
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+# Every subcommand with and without --json, argparse errors and help, and
+# calls whose options would leak into the next call if parsing kept state.
+REUSE_SEQUENCE = [
+    *(
+        argv + flag
+        for argv in [
+            ["count", "6", "9"],
+            ["count", "4", "6", "--method", "bizley", "--check-bound", "0"],
+            ["christoffel", "4", "6"],
+            ["decompose", "--diagram", "4,3,1", "--format", "json"],
+            ["decompose", "4", "6"],
+            ["enumerate", "3", "3"],
+            ["verify", "--max-a", "3", "--max-b", "4", "--families", "1", "1"],
+            ["verify", "--max-a", "3", "--max-b", "4"],
+            ["identities", "--max-a", "4", "--max-b", "6"],
+            ["expand", "4", "6"],
+            ["formula", "ballot", "5", "3", "1"],
+            ["formula", "catalan", "5"],
+        ]
+        for flag in ([], ["--json"])
+    ),
+    [],
+    ["count", "x", "y"],
+    ["formula", "no-such-formula", "1"],
+    ["count", "6", "9", "--method", "nope"],
+    ["count", "0", "3"],
+    ["--help"],
+    ["count", "--help"],
+    ["enumerate", "3", "3", "--limit", "4"],
+    {"RECTCAT_MAX_ENUM": "4"},
+    ["enumerate", "3", "3"],
+    ["enumerate", "3", "3", "--limit", "5"],
+    {"RECTCAT_MAX_ENUM": "5"},
+    ["enumerate", "3", "3", "--json"],
+    ["enumerate", "3", "3"],
+]
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def play(fresh):
+        monkeypatch.delenv("RECTCAT_MAX_ENUM", raising=False)
+        seen = []
+        for step in REUSE_SEQUENCE:
+            if isinstance(step, dict):
+                for name, value in step.items():
+                    monkeypatch.setenv(name, value)
+                continue
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = cli.main(step)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((step, code, captured.out, captured.err))
+        return seen
+
+    reused = play(fresh=False)
+    assert play(fresh=True) == reused
+    codes = [code for _, code, _, _ in reused]
+    assert set(codes) == {0, 2}
+    assert codes[-8:] == [2, 0, 0, 2, 2, 0, 0, 0]
 
 
 def test_stdout_is_deterministic(capsys):

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import count_by_filter, count_subdiagrams, subdiagrams_by_filter, words_by_filter
@@ -12,6 +12,7 @@ from rectcat import (
     as_diagram,
     catalan,
     christoffel_diagram,
+    coprime_catalan,
     count_paths,
     count_rect,
     diagram_to_word,
@@ -193,6 +194,23 @@ def test_count_paths_vs_filter_oracle():
     # not just staircases: arbitrary diagrams too
     for mu in [(2, 2), (3, 3, 3), (5, 1), (4, 4, 2, 1)]:
         assert count_paths(mu) == count_subdiagrams(mu)
+
+
+@given(st.lists(st.integers(0, 9), max_size=6).map(lambda rows: sorted(rows, reverse=True)))
+@example([9, 9, 9, 9, 9, 9])
+@example([9, 0, 0])
+@example([9, 1, 1, 1])
+@example([9, 9, 1])
+@settings(max_examples=60, deadline=None)
+def test_count_paths_vs_filter_oracle_on_any_diagram(rows):
+    # Equal adjacent rows, long jumps and trailing zeros all come up; the
+    # filter counts the zero rows' single filling, as_diagram drops them.
+    assert count_paths(rows) == count_subdiagrams(rows)
+
+
+@pytest.mark.parametrize("p, q", [(101, 150), (150, 101), (1, 500), (500, 1), (97, 389)])
+def test_count_rect_on_large_coprime_rectangles(p, q):
+    assert count_rect(p, q) == coprime_catalan(p, q)
 
 
 def test_count_paths_peeling_recurrence():
