@@ -37,9 +37,14 @@ def through_box_split(mu, r: int) -> tuple[Diagram, Diagram]:
     beyond = mu[r] if r < len(mu) else 0
     if j <= beyond:
         raise ValueError(f"row {r} of {mu} does not end in an outer corner")
-    upper = mu[r:]
-    lower = as_diagram(x - j for x in mu[: r - 1])
-    return upper, lower
+    return _through_box_split(mu, r)
+
+
+def _through_box_split(mu: Diagram, r: int) -> tuple[Diagram, Diagram]:
+    # The rows below r are all at least j = mu_r and weakly decrease, so the
+    # rows that shift down to zero are exactly a suffix of them.
+    j = mu[r - 1]
+    return mu[r:], tuple(x - j for x in mu[: r - 1] if x > j)
 
 
 def theorem_fit(a: int, b: int) -> tuple[str, int, int] | None:

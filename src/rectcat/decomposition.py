@@ -11,10 +11,14 @@ rectangle count through this calculus.
 
 The removed box is pinned to the outer corner of the topmost row still in
 excess of the largest inscribed isosceles staircase; that makes decompose a
-pure function with one well-defined tree per diagram.  Results are memoized
-by row tuple, so equal sub-diagrams share the very same node objects; the
-folds here (h_value, expr_stats, the text normal form and ``tree``) and the
-JSON writer walk the structure iteratively and compute each shared node once.
+pure function with one well-defined tree per diagram.  decompose builds the
+tree with an explicit stack, without recursion, into a memo keyed by row
+tuple: a fresh dict that lives for one call, or the caller's ``memo``, which
+lives as long as the caller keeps it.  Nothing is kept between calls
+otherwise.  Equal sub-diagrams in one memo share the very same node objects;
+the folds here (h_value, expr_stats, the text normal form and ``tree``) and
+the JSON writer walk the structure iteratively and compute each shared node
+once.
 
 Two printed forms exist: render(expr) is the sum-of-products normal form, one
 term per summand, and render(expr, "json") is the tree as built in JSON,
@@ -25,12 +29,11 @@ that needs only one of them builds only that one.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 
-from .comparison import through_box_split
+from .comparison import _through_box_split
 from .diagrams import Diagram, as_diagram
 from .formulas import catalan
 
@@ -92,29 +95,42 @@ def _max_isosceles(mu: Diagram) -> int:
     return min([len(mu) + 1, *(m + r for r, m in enumerate(mu, 1))])
 
 
-def decompose(mu) -> DecompExpr:
-    """Expression over One/Iso leaves with h_value(decompose(mu)) == count_paths(mu)."""
+def decompose(mu, memo: dict | None = None) -> DecompExpr:
+    """Expression over One/Iso leaves with h_value(decompose(mu)) == count_paths(mu).
+
+    Nodes are built into ``memo``, keyed by row tuple: a fresh dict unless the
+    caller passes one to share nodes across calls.
+    """
     mu = as_diagram(mu)
-    # The sum branch shortens the diagram one box at a time, so the
-    # recursion can get as deep as the box count.
-    need = 3 * (sum(mu) + len(mu)) + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    return _decompose(mu)
-
-
-@lru_cache(maxsize=None)
-def _decompose(mu: Diagram) -> DecompExpr:
-    if not mu:
-        return ONE
-    n = _max_isosceles(mu)
-    if mu == iso_rows(n):
-        return Iso(n)
-    # Topmost row sticking out of I_n; its last box is an outer corner.
-    r = next(r for r in range(len(mu), 0, -1) if mu[r - 1] > n - r)
-    slimmed = as_diagram(mu[: r - 1] + (mu[r - 1] - 1,) + mu[r:])
-    upper, lower = through_box_split(mu, r)
-    return Sum((_decompose(slimmed), Prod((_decompose(upper), _decompose(lower)))))
+    built = {} if memo is None else memo
+    # Items are (diagram, None) to expand and (diagram, parts) to assemble
+    # once its parts are built.  Parts have fewer boxes than their diagram,
+    # so no diagram is expanded while it is still being assembled.
+    stack = [(mu, None)]
+    while stack:
+        nu, parts = stack.pop()
+        if parts is not None:
+            slimmed, upper, lower = parts
+            built[nu] = Sum((built[slimmed], Prod((built[upper], built[lower]))))
+            continue
+        if nu in built:
+            continue
+        if not nu:
+            built[nu] = ONE
+            continue
+        n = _max_isosceles(nu)
+        if nu == iso_rows(n):
+            built[nu] = Iso(n)
+            continue
+        # Topmost row sticking out of I_n.  The row above it holds at most
+        # n - r - 1 boxes, so row r ends in an outer corner, and only a top
+        # row can shrink to zero.
+        r = next(r for r in range(len(nu), 0, -1) if nu[r - 1] > n - r)
+        slimmed = nu[: r - 1] + (nu[r - 1] - 1,) * (nu[r - 1] > 1) + nu[r:]
+        parts = (slimmed, *_through_box_split(nu, r))
+        stack.append((nu, parts))
+        stack.extend((part, None) for part in parts if part not in built)
+    return built[mu]
 
 
 def _children(node) -> tuple:

@@ -94,17 +94,18 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
 
 def check_decomposition(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
+    memo: dict = {}  # one memo for the sweep: its diagrams share many parts
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
                 want = diagrams.count_paths(mu)
-                got = decomposition.h_value(decomposition.decompose(mu))
+                got = decomposition.h_value(decomposition.decompose(mu, memo))
                 res.check(got == want, f"decompose({mu}) values to {got}, oracle {want}")
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
             mu = diagrams.christoffel_diagram(a, b)
             want = diagrams.count_rect(a, b)
-            got = decomposition.h_value(decomposition.decompose(mu))
+            got = decomposition.h_value(decomposition.decompose(mu, memo))
             res.check(
                 got == want,
                 f"decompose of the {a}x{b} staircase values to {got}, oracle {want}",

@@ -274,6 +274,19 @@ def test_decompose_renders_each_form_once(capsys, monkeypatch, flags, formats):
     assert calls == formats
 
 
+def test_decompose_answers_on_deep_staircase(capsys):
+    # A 30,000-deep chain of sums: the builder and the JSON writer take it
+    # without recursion.
+    code, out, err = run(capsys, "count", "2", "60000", "--method", "decompose")
+    assert (code, err) == (0, "")
+    assert run(capsys, "count", "2", "60000") == (0, out, "")
+    code, out, err = run(capsys, "decompose", "2", "60000", "--format", "json")
+    assert (code, err) == (0, "")
+    expr = decomposition.decompose(diagrams.christoffel_diagram(2, 60000))
+    assert out.startswith(f"expr: {decomposition.render(expr, 'json')}\n")
+    assert out.endswith("depth: 30001\n")
+
+
 def test_decompose_argument_errors(capsys):
     code, _, err = run(capsys, "decompose", "--diagram", "1,x")
     assert code == 2

@@ -30,7 +30,8 @@ from rectcat import (
     tree,
 )
 from rectcat import decomposition as decomposition_mod
-from rectcat.decomposition import json_pieces
+from rectcat import verify
+from rectcat.decomposition import ONE, json_pieces
 
 
 # ------------------------------------------------------------------ leaves
@@ -100,24 +101,56 @@ def test_decompose_structure_frozen():
     )
 
 
-def test_decompose_is_deterministic():
-    first = decompose((4, 3, 1))
-    decomposition_mod._decompose.cache_clear()
-    assert decompose((4, 3, 1)) == first
-
-
-def leaves_of(expr):
+def nodes_of(expr):
     out = []
     stack = [expr]
     while stack:
         node = stack.pop()
+        out.append(node)
         if isinstance(node, Sum):
             stack.extend(node.terms)
         elif isinstance(node, Prod):
             stack.extend(node.factors)
-        else:
-            out.append(node)
     return out
+
+
+def leaves_of(expr):
+    return [node for node in nodes_of(expr) if isinstance(node, (One, Iso))]
+
+
+def test_decompose_is_deterministic():
+    mu = christoffel_diagram(6, 9)
+    first, second = decompose(mu), decompose(mu)
+    assert first == second
+    # Without a caller's memo nothing outlives a call: the two trees share no
+    # node but the constant One.
+    ids = [{id(node) for node in nodes_of(expr) if node is not ONE} for expr in (first, second)]
+    assert not ids[0] & ids[1]
+    # Through one memo, a later call returns the very nodes an earlier one built.
+    memo = {}
+    assert decompose(mu, memo) == first
+    assert memo[mu] is decompose(mu, memo)
+    assert all(decompose(nu, memo) is node for nu, node in list(memo.items()))
+
+
+def test_decompose_on_deep_staircase_keeps_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("decompose changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert h_value(decompose(christoffel_diagram(2, 60000))) == count_rect(2, 60000)
+
+
+def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
+    clean = verify.check_decomposition(3, 4)
+    assert clean.passed
+    monkeypatch.setattr(decomposition_mod, "catalan", lambda n: catalan(n) + 1)
+    faulty = verify.check_decomposition(3, 4)
+    assert faulty.cells == clean.cells
+    # Every nonempty diagram has an Iso leaf, so only the empty one still passes.
+    empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
+    empty += sum(christoffel_diagram(a, b) == () for a in range(1, 4) for b in range(1, 5))
+    assert len(faulty.failures) == faulty.cells - empty
 
 
 def test_decompose_leaf_purity():
