@@ -16,9 +16,9 @@ tree with an explicit stack, without recursion, into a memo keyed by row
 tuple: a fresh dict that lives for one call, or the caller's ``memo``, which
 lives as long as the caller keeps it.  Nothing is kept between calls
 otherwise.  Equal sub-diagrams in one memo share the very same node objects;
-the folds here (h_value, expr_stats, the text normal form and ``tree``) and
-the JSON writer walk the structure iteratively and compute each shared node
-once.
+the folds here (h_value, expr_stats, the text normal form and ``tree``) walk
+the structure iteratively and compute each shared node once, and the JSON
+writer joins a shared node's text once, when it meets the node again.
 
 Two printed forms exist: render(expr) is the sum-of-products normal form, one
 term per summand, and render(expr, "json") is the tree as built in JSON,
@@ -196,12 +196,33 @@ def _times(xs: list[str], ys: list[str]) -> list[str]:
 
 def _normal_terms(expr) -> list[str]:
     # Distribute products over sums; a term is its Iso labels joined by "*",
-    # One factors dropped, construction order kept.
-    return _fold(
-        expr,
-        leaf=lambda nd: [""] if isinstance(nd, One) else [f"C{nd.n}"],
-        combine_sum=lambda vals: [term for v in vals for term in v],
-        combine_prod=lambda vals: reduce(_times, vals),
+    # One factors dropped, construction order kept.  A Sum's value is the
+    # tuple of its children's values (a rope, so a Sum copies no terms), any
+    # other value a list of terms.  A rope is flattened once, when a product
+    # or the root first needs its terms.
+    flat: dict[int, list[str]] = {}
+
+    def terms(value) -> list[str]:
+        if isinstance(value, list):
+            return value
+        if id(value) not in flat:
+            found, stack = [], [value]
+            while stack:
+                part = stack.pop()
+                if isinstance(part, list):
+                    found += part
+                else:
+                    stack += reversed(part)
+            flat[id(value)] = found
+        return flat[id(value)]
+
+    return terms(
+        _fold(
+            expr,
+            leaf=lambda nd: [""] if isinstance(nd, One) else [f"C{nd.n}"],
+            combine_sum=tuple,
+            combine_prod=lambda vals: reduce(_times, map(terms, vals)),
+        )
     )
 
 
@@ -242,23 +263,17 @@ def json_pieces(expr, sort_keys: bool = False) -> list[str]:
 
     Joined, the pieces are json.dumps(tree(expr), separators=(",", ":")), or
     json.dumps(tree(expr), sort_keys=True) when ``sort_keys`` is set.  They
-    are written straight from the expression, without recursion.  A node
-    reached along more than one edge is written out once: when it first
-    closes, its pieces collapse into one string, and every later occurrence
-    repeats that string.
+    are written straight from the expression in one depth-first walk, without
+    recursion, and are only ever appended.  A Sum or Prod met for the first
+    time is written as its own pieces, and the span they fill is noted; met
+    again, that span is joined into one string, which this and every later
+    occurrence repeat.
     """
     one, iso, sep, brackets = _SORTED if sort_keys else _COMPACT
-    edges: dict[int, int] = {}
-    stack = [expr]
-    while stack:
-        for kid in _children(stack.pop()):
-            if id(kid) not in edges:
-                stack.append(kid)
-            edges[id(kid)] = edges.get(id(kid), 0) + 1
-    shared: dict[int, str] = {}
+    written: dict[int, tuple[int, int] | str] = {}  # node id -> span, then text
     out: list[str] = []
     # Items are nodes to write, text to copy, or (start, node id) where a
-    # shared node closes.
+    # node's pieces end.
     stack = [expr]
     while stack:
         item = stack.pop()
@@ -266,19 +281,19 @@ def json_pieces(expr, sort_keys: bool = False) -> list[str]:
             out.append(item)
         elif isinstance(item, tuple):
             start, key = item
-            shared[key] = text = "".join(out[start:])
-            out[start:] = [text]
+            written[key] = (start, len(out))
         elif isinstance(item, One):
             out.append(one)
         elif isinstance(item, Iso):
             out.append(iso % item.n)
-        elif id(item) in shared:
-            out.append(shared[id(item)])
+        elif id(item) in written:
+            text = written[id(item)]
+            if isinstance(text, tuple):
+                written[id(item)] = text = "".join(out[slice(*text)])
+            out.append(text)
         else:
             opening, closing = brackets[type(item)]
-            if edges.get(id(item), 0) > 1:
-                stack.append((len(out), id(item)))
-            stack.append(closing)
+            stack += ((len(out), id(item)), closing)
             kids = _children(item)
             for kid in kids[:0:-1]:
                 stack += (kid, sep)

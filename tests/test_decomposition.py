@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -342,10 +343,24 @@ def test_json_writer_on_hand_built_dags(expr):
 
 
 def test_json_writer_writes_a_shared_node_once():
-    pieces = json_pieces(Prod((SHARED, SHARED)))
-    text = render(SHARED, "json")
-    assert pieces == ['{"type":"prod","factors":[', text, ",", text, "]}"]
-    assert pieces[1] is pieces[3]
+    # The first occurrence is written as its own pieces; the second joins
+    # them once, and every later occurrence repeats that very string.
+    pieces = json_pieces(Prod((SHARED, SHARED, SHARED)))
+    own = json_pieces(SHARED)
+    text, k = "".join(own), len(own)
+    assert pieces == ['{"type":"prod","factors":[', *own, ",", text, ",", text, "]}"]
+    assert pieces[k + 4] is pieces[k + 2]
+
+
+def test_json_writer_walks_a_shared_node_once():
+    x = Iso(2)
+    for _ in range(16):
+        x = Sum((x, x))  # 2**16 leaves, 17 distinct nodes
+    obj = tree(x)
+    for sort_keys, dumps_args in [(False, {"separators": (",", ":")}), (True, {"sort_keys": True})]:
+        pieces = json_pieces(x, sort_keys=sort_keys)
+        assert "".join(pieces) == json.dumps(obj, **dumps_args)
+        assert len(pieces) <= 4 * 16 + 1
 
 
 def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
@@ -367,6 +382,19 @@ def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
     ]:
         same = got == want  # a plain bool, so pytest does not diff 2 MB strings
         assert same, f"first difference at offset {len(os.path.commonprefix([got, want]))}"
+
+
+def test_text_normal_form_is_linear_on_deep_chain():
+    # 8,000 summands at depth 8,001: a Sum that copied its children's terms
+    # would hold about 32 million of them at once.
+    tracemalloc.start()
+    try:
+        text = render(decompose(christoffel_diagram(2, 16000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "C2" + " + 1" * 7999
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
 
 def test_render_rejects_unknown_format():
