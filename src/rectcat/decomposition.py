@@ -19,6 +19,8 @@ otherwise.  Equal sub-diagrams in one memo share the very same node objects;
 the folds here (h_value, expr_stats, the text normal form and ``tree``) walk
 the structure iteratively and compute each shared node once, and the JSON
 writer joins a shared node's text once, when it meets the node again.
+h_value(expr, values=None) likewise takes the caller's dict of node values,
+so a sweep over one memo evaluates each shared node once in all.
 
 Two printed forms exist: render(expr) is the sum-of-products normal form, one
 term per summand, and render(expr, "json") is the tree as built in JSON,
@@ -141,9 +143,12 @@ def _children(node) -> tuple:
     return ()
 
 
-def _fold(root, leaf, combine_sum, combine_prod):
-    """Evaluate bottom-up over the possibly shared tree, without recursion."""
-    done: dict[int, object] = {}
+def _fold(root, leaf, combine_sum, combine_prod, done: dict | None = None):
+    """Evaluate bottom-up over the possibly shared tree, without recursion.
+
+    Values go into ``done`` by node id; nodes a caller's dict holds are skipped.
+    """
+    done = {} if done is None else done
     stack = [root]
     while stack:
         node = stack[-1]
@@ -170,9 +175,15 @@ def _leaf_value(node) -> int:
     return 1 if isinstance(node, One) else catalan(node.n)
 
 
-def h_value(expr) -> int:
-    """Evaluate the expression: One -> 1, Iso(n) -> catalan(n), +, *."""
-    return _fold(expr, _leaf_value, sum, prod)
+def h_value(expr, values: dict | None = None) -> int:
+    """Evaluate the expression: One -> 1, Iso(n) -> catalan(n), +, *.
+
+    Node values go into ``values``, keyed by node id: a fresh dict unless the
+    caller passes one to evaluate shared nodes once across calls.  Ids are
+    only unique among live objects, so such a dict is valid only while its
+    nodes are kept alive, e.g. by the ``decompose`` memo that built them.
+    """
+    return _fold(expr, _leaf_value, sum, prod, values)
 
 
 def expr_stats(expr) -> tuple[int, int, int]:

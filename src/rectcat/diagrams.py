@@ -86,7 +86,11 @@ def format_diagram(mu) -> str:
 def christoffel_diagram(a: int, b: int) -> Diagram:
     """Maximal staircase of the a-by-b rectangle: row r holds floor(b*(a-r)/a) boxes."""
     check_rect(a, b)
-    return as_diagram(b * (a - r) // a for r in range(1, a))
+    # Rows weakly decrease and are nonnegative by construction, so nothing
+    # needs re-checking.  Row r is nonempty iff b*(a-r) >= a, that is
+    # r <= a - ceil(a/b): the trailing zero rows are never built.
+    top = a + (-a) // b
+    return tuple([b * (a - r) // a for r in range(1, top + 1)])
 
 
 def fits_in(a: int, b: int, mu) -> bool:

@@ -18,6 +18,7 @@ from rectcat import (
     theorem2_count,
     through_box_split,
 )
+from rectcat import diagrams, verify
 
 
 # ------------------------------------------------------------------ split
@@ -69,6 +70,29 @@ def test_split_contract_exhaustive():
 def test_split_contract_random_diagrams(rows):
     mu = as_diagram(sorted(rows, reverse=True))
     assert split_contract_holds(mu)
+
+
+def test_split_contract_sweep_memo_keeps_faults_visible(monkeypatch):
+    clean = verify.check_split_contract(6, 8)
+    assert clean.passed
+    oracle, asked = diagrams.count_paths, []
+
+    def one_too_many(mu):  # off by one on every diagram of two or more rows
+        asked.append(mu)
+        return oracle(mu) + (len(as_diagram(mu)) >= 2)
+
+    monkeypatch.setattr(diagrams, "count_paths", one_too_many)
+    faulty = verify.check_split_contract(6, 8)
+    assert faulty.cells == clean.cells
+    assert faulty.failures
+    # The sweep asks the oracle about each distinct diagram once; the other
+    # asks are enumerate_paths sizing each of the 6 * 8 rectangles.
+    assert len(asked) == len(set(asked)) + 6 * 8
+    monkeypatch.undo()
+    # Nothing cached under the fault outlives the call that cached it.
+    again = verify.check_split_contract(6, 8)
+    assert again.passed
+    assert again.cells == clean.cells
 
 
 # ------------------------------------------------------------ term lists

@@ -154,6 +154,33 @@ def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
     assert len(faulty.failures) == faulty.cells - empty
 
 
+def test_h_value_shares_values_across_a_sweep():
+    memo, values = {}, {}
+    for _, mu in enumerate_paths(5, 7):
+        shared = h_value(decompose(mu, memo), values)
+        assert shared == h_value(decompose(mu)) == count_paths(mu)
+    # A second pass finds every node's value already there.
+    size = len(values)
+    for _, mu in enumerate_paths(5, 7):
+        assert h_value(decompose(mu, memo), values) == count_paths(mu)
+    assert len(values) == size
+
+
+def test_decomposition_sweep_values_live_for_one_call(monkeypatch):
+    tables = []
+
+    def spy(expr, values=None):  # note each value table the first time it is seen
+        if not any(values is table for table in tables):
+            assert values == {}
+            tables.append(values)
+        return h_value(expr, values)
+
+    monkeypatch.setattr(decomposition_mod, "h_value", spy)
+    assert verify.check_decomposition(3, 4).passed
+    assert verify.check_decomposition(3, 4).passed
+    assert len(tables) == 2
+
+
 def test_decompose_leaf_purity():
     for a, b in [(4, 6), (6, 9), (5, 7), (6, 8)]:
         for leaf in leaves_of(decompose(christoffel_diagram(a, b))):

@@ -69,18 +69,18 @@ def test_christoffel_examples():
 
 
 def test_christoffel_row_formula():
-    # row r holds floor(b*(a-r)/a) boxes, trailing zeros dropped
-    for a in range(1, 10):
-        for b in range(1, 12):
-            mu = christoffel_diagram(a, b)
+    # row r holds floor(b*(a-r)/a) boxes, trailing zeros dropped; b < a has
+    # zero rows to drop, and a = 1 or b = 1 gives the empty diagram
+    for a in range(1, 41):
+        for b in range(1, 41):
             full = [b * (a - r) // a for r in range(1, a)]
-            assert list(mu) == full[: len(mu)]
-            assert all(x == 0 for x in full[len(mu) :])
+            assert christoffel_diagram(a, b) == as_diagram(full)
 
 
 def test_rect_validation():
-    with pytest.raises(ValueError):
-        christoffel_diagram(0, 5)
+    for a, b in [(0, 5), (5, 0), (-3, 5), (5, -3)]:
+        with pytest.raises(ValueError):
+            christoffel_diagram(a, b)
     with pytest.raises(ValueError):
         count_rect(3, 0)
 
