@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from itertools import accumulate
+from operator import lt
 
 Diagram = tuple[int, ...]
 
@@ -53,15 +54,16 @@ def as_diagram(rows) -> Diagram:
     Rows are listed bottom-up, must be nonnegative and weakly decreasing;
     trailing zeros are dropped.  Raises ValueError otherwise.
     """
-    mu = tuple(int(r) for r in rows)
-    for i, r in enumerate(mu):
-        if r < 0:
-            raise ValueError(f"negative row length {r} in {mu}")
-        if i and r > mu[i - 1]:
-            raise ValueError(f"rows must be weakly decreasing bottom-up, got {mu}")
-    while mu and mu[-1] == 0:
-        mu = mu[:-1]
-    return mu
+    mu = tuple(map(int, rows))
+    if mu and (mu[-1] < 0 or any(map(lt, mu, mu[1:]))):
+        # Only bad rows get here; the first offending row picks the message.
+        for i, r in enumerate(mu):
+            if r < 0:
+                raise ValueError(f"negative row length {r} in {mu}")
+            if i and r > mu[i - 1]:
+                raise ValueError(f"rows must be weakly decreasing bottom-up, got {mu}")
+    # Weakly decreasing and nonnegative: every zero row is a trailing one.
+    return mu[: len(mu) - mu.count(0)]
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -97,7 +99,7 @@ def fits_in(a: int, b: int, mu) -> bool:
     """True iff ``mu`` sits inside the maximal staircase of the rectangle."""
     mu = as_diagram(mu)
     bounds = christoffel_diagram(a, b)
-    return len(mu) <= len(bounds) and all(x <= c for x, c in zip(mu, bounds))
+    return len(mu) <= len(bounds) and not any(map(lt, bounds, mu))
 
 
 def _downs(word: str):
@@ -147,7 +149,8 @@ def diagram_to_word(a: int, b: int, mu) -> str:
     """Word of the path carving out ``mu``; inverse of word_to_diagram."""
     check_rect(a, b)
     mu = as_diagram(mu)
-    if not fits_in(a, b, mu):
+    bounds = christoffel_diagram(a, b)
+    if len(mu) > len(bounds) or any(map(lt, bounds, mu)):
         raise ValueError(f"diagram {mu} does not fit the {a}x{b} staircase")
     return _word(b, [0] * (a - len(mu)) + list(mu[::-1]))
 

@@ -8,8 +8,10 @@ a rectangle and the route call that must match the oracle there.  All
 library calls go through the module objects, which keeps the checks honest
 under fault injection in tests.  The split-contract and decomposition sweeps
 meet a few hundred diagrams thousands of times, so each caches the oracle it
-finds on the module for the length of one call: an injected fault is cached
-like any answer and still shows, and nothing outlives the call.
+finds on the module for the length of one call, and the split sweep caches
+through_box_split the same way: an injected fault is cached like any answer
+and still shows, and nothing outlives the call.  A check formats its
+counterexample only when a cell fails; passing cells cost no string.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ class CheckResult:
     cells: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, describe: str) -> None:
+    def check(self, ok: bool, template: str, *args) -> None:
+        """Count one cell; on failure record ``template.format(*args)``."""
         self.cells += 1
         if not ok:
-            self.failures.append(describe)
+            self.failures.append(template.format(*args))
 
     @property
     def passed(self) -> bool:
@@ -38,13 +41,16 @@ class CheckResult:
 
 
 def check_vs_oracle(name: str, cases) -> CheckResult:
-    """One route against the oracle over ``(rectangle, label, route, args)`` cases."""
+    """One route against the oracle over ``(rectangle, call, route, args)`` cases.
+
+    ``call`` is the route's label as a template with one field per argument,
+    such as ``"fuss({},{})"``.
+    """
     res = CheckResult(name)
-    for (a, b), label, route, args in cases:
+    for (a, b), call, route, args in cases:
         want = diagrams.count_rect(a, b)
         got = route(*args)
-        call = f"{label}({','.join(map(str, args))})"
-        res.check(got == want, f"{call} = {got}, oracle {want}")
+        res.check(got == want, call + " = {}, oracle {}", *args, got, want)
     return res
 
 
@@ -69,7 +75,7 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
             )
             res.check(
                 got == diff,
-                f"rule2({a},{family},{n}) terms sum to {got}, width step {diff}",
+                "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,
             )
     return res
 
@@ -77,6 +83,7 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
 def check_split_contract(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("split-contract-exhaustive")
     count = cache(diagrams.count_paths)
+    split = cache(comparison.through_box_split)
     for a in range(1, min(max_a, 6) + 1):
         for b in range(1, min(max_b, 8) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
@@ -85,12 +92,11 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
                     beyond = mu[r] if r < len(mu) else 0
                     if mu[r - 1] <= beyond:
                         continue
-                    upper, lower = comparison.through_box_split(mu, r)
+                    upper, lower = split(mu, r)
                     slim = mu[: r - 1] + (mu[r - 1] - 1,) * (mu[r - 1] > 1) + mu[r:]
                     got = count(slim) + count(upper) * count(lower)
                     res.check(
-                        got == want,
-                        f"split of {mu} at row {r}: {got}, oracle {want}",
+                        got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want
                     )
     return res
 
@@ -105,7 +111,7 @@ def check_decomposition(max_a: int, max_b: int) -> CheckResult:
             for _, mu in diagrams.enumerate_paths(a, b):
                 want = count(mu)
                 got = decomposition.h_value(decomposition.decompose(mu, memo), values)
-                res.check(got == want, f"decompose({mu}) values to {got}, oracle {want}")
+                res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
             mu = diagrams.christoffel_diagram(a, b)
@@ -113,7 +119,7 @@ def check_decomposition(max_a: int, max_b: int) -> CheckResult:
             got = decomposition.h_value(decomposition.decompose(mu, memo), values)
             res.check(
                 got == want,
-                f"decompose of the {a}x{b} staircase values to {got}, oracle {want}",
+                "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,
             )
     return res
 
@@ -124,7 +130,7 @@ def check_q_rowsum(max_a: int, max_b: int) -> CheckResult:
         for b in range(1, max_b + 1):
             want = sum(diagrams.christoffel_diagram(a, b))
             got = christoffel.q_boxes(a, b)
-            res.check(got == want, f"q_boxes({a},{b}) = {got}, row sum {want}")
+            res.check(got == want, "q_boxes({},{}) = {}, row sum {}", a, b, got, want)
     return res
 
 
@@ -134,7 +140,9 @@ def check_delta_telescope(max_a: int, max_b: int) -> CheckResult:
         for b in range(a + 1, max_b + 1):
             got = sum(christoffel.delta(a, b, l) for l in range(1, a))
             want = christoffel.q_boxes(a, b) - christoffel.q_boxes(a, b - 1)
-            res.check(got == want, f"delta rows for ({a},{b}) sum to {got}, q step {want}")
+            res.check(
+                got == want, "delta rows for ({},{}) sum to {}, q step {}", a, b, got, want
+            )
     return res
 
 
@@ -144,17 +152,17 @@ def check_delta_families(max_a: int, max_b: int) -> CheckResult:
     for k in range(1, top_k + 1):
         for n in range(0, 9):
             for l in range(1, 2 * k):
-                got = christoffel.delta(2 * k, 2 * k * (n + 1) - 1, l)
+                b = 2 * k * (n + 1) - 1
+                got = christoffel.delta(2 * k, b, l)
                 want = christoffel.delta_closed_upper(k, n, l)
                 res.check(
-                    got == want,
-                    f"delta(2*{k},{2 * k * (n + 1) - 1},{l}) = {got}, upper form {want}",
+                    got == want, "delta(2*{},{},{}) = {}, upper form {}", k, b, l, got, want
                 )
-                got = christoffel.delta(2 * k, 2 * k * n + 2, l)
+                b = 2 * k * n + 2
+                got = christoffel.delta(2 * k, b, l)
                 want = christoffel.delta_closed_lower(k, n, l)
                 res.check(
-                    got == want,
-                    f"delta(2*{k},{2 * k * n + 2},{l}) = {got}, lower form {want}",
+                    got == want, "delta(2*{},{},{}) = {}, lower form {}", k, b, l, got, want
                 )
     return res
 
@@ -165,9 +173,9 @@ def check_special_r(max_a: int, max_b: int) -> CheckResult:
         try:
             got = christoffel.special_r(a)
         except ArithmeticError as err:  # guard tripping is the failure mode
-            res.check(False, f"special_r({a}) aborted: {err}")
+            res.check(False, "special_r({}) aborted: {}", a, err)
             continue
-        res.check(got == a - 1, f"special_r({a}) = {got}")
+        res.check(got == a - 1, "special_r({}) = {}", a, got)
     return res
 
 
@@ -186,31 +194,31 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
     rows, cols = range(1, max_a + 1), range(1, max_b + 1)
     return [
         check_vs_oracle("coprime-formula-vs-oracle", (
-            ((a, b), "coprime", formulas.coprime_catalan, (a, b))
+            ((a, b), "coprime({},{})", formulas.coprime_catalan, (a, b))
             for a in rows for b in cols if gcd(a, b) == 1
         )),
         check_vs_oracle("fuss-formula-vs-oracle", (
-            ((a, a * k), "fuss", formulas.fuss_catalan, (a, k))
+            ((a, a * k), "fuss({},{})", formulas.fuss_catalan, (a, k))
             for a in rows for k in range(1, max_b // a + 1)
         )),
         check_vs_oracle("prime-dispatch-vs-oracle", (
-            ((p, b), "prime_rect", formulas.prime_rect, (p, b))
+            ((p, b), "prime_rect({},{})", formulas.prime_rect, (p, b))
             for p in rows if p >= 2 and formulas._is_prime(p) for b in cols
         )),
         check_vs_oracle("bizley-vs-oracle", (
-            ((a, b), "bizley", bizley.bizley_count, (a, b)) for a in rows for b in cols
+            ((a, b), "bizley({},{})", bizley.bizley_count, (a, b)) for a in rows for b in cols
         )),
         check_vs_oracle("catalan-on-squares", (
-            ((n, n), "catalan", formulas.catalan, (n,))
+            ((n, n), "catalan({})", formulas.catalan, (n,))
             for n in range(1, min(max_a, max_b, 10) + 1)
         )),
         check_vs_oracle("theorem1-vs-oracle", (
-            ((2 * k, 2 * k * (n + 1) - 2), "theorem1", comparison.theorem1_count, (k, n))
+            ((2 * k, 2 * k * (n + 1) - 2), "theorem1({},{})", comparison.theorem1_count, (k, n))
             for k in range(1, fam_k + 1) for n in range(0, fam_n + 1)
             if 2 * k * (n + 1) - 2 >= 1
         )),
         check_vs_oracle("theorem2-vs-oracle", (
-            ((2 * k, 2 * k * n + 2), "theorem2", comparison.theorem2_count, (k, n))
+            ((2 * k, 2 * k * n + 2), "theorem2({},{})", comparison.theorem2_count, (k, n))
             for k in range(1, fam_k + 1) for n in range(1, fam_n + 1)
         )),
         check_rule2("upper", fam_k, fam_n),

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rectcat import bizley, cli, comparison, decomposition, diagrams, formulas
+from rectcat import bizley, christoffel, cli, comparison, decomposition, diagrams, formulas
 
 
 def run(capsys, *argv):
@@ -419,6 +419,29 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         "  fuss(2,2) = 1, oracle 3",
         "  fuss(3,1) = 1, oracle 5",
         "RESULT: FAIL (15 checks, 140 cells)",
+    ]
+
+
+def test_verify_counterexample_text(capsys, monkeypatch):
+    def trip(a):
+        raise ArithmeticError(f"guard tripped at {a}")
+
+    monkeypatch.setattr(formulas, "catalan", lambda n: 0)
+    monkeypatch.setattr(comparison, "rule2_terms", lambda a, family, n: [])
+    monkeypatch.setattr(christoffel, "special_r", trip)
+    code, out, _ = run(capsys, "verify", "--max-a", "3", "--max-b", "4", "--families", "1", "1")
+    assert code == 3
+    assert out.splitlines()[-10:] == [
+        "counterexamples:",
+        "  catalan(1) = 0, oracle 1",
+        "  catalan(2) = 0, oracle 2",
+        "  catalan(3) = 0, oracle 5",
+        "  rule2(2,lower,0) terms sum to 0, width step 1",
+        "  rule2(2,lower,1) terms sum to 0, width step 1",
+        "  special_r(2) aborted: guard tripped at 2",
+        "  special_r(3) aborted: guard tripped at 3",
+        "  special_r(4) aborted: guard tripped at 4",
+        "RESULT: FAIL (15 checks, 132 cells)",
     ]
 
 

@@ -18,7 +18,7 @@ from rectcat import (
     theorem2_count,
     through_box_split,
 )
-from rectcat import diagrams, verify
+from rectcat import comparison, diagrams, verify
 
 
 # ------------------------------------------------------------------ split
@@ -88,6 +88,31 @@ def test_split_contract_sweep_memo_keeps_faults_visible(monkeypatch):
     # The sweep asks the oracle about each distinct diagram once; the other
     # asks are enumerate_paths sizing each of the 6 * 8 rectangles.
     assert len(asked) == len(set(asked)) + 6 * 8
+    monkeypatch.undo()
+    # Nothing cached under the fault outlives the call that cached it.
+    again = verify.check_split_contract(6, 8)
+    assert again.passed
+    assert again.cells == clean.cells
+
+
+def test_split_contract_sweep_split_cache_keeps_faults_visible(monkeypatch):
+    clean = verify.check_split_contract(6, 8)
+    assert clean.passed
+    split, asked = comparison.through_box_split, []
+
+    def drop_lower(mu, r):  # a swap of the parts would not show: their counts multiply
+        asked.append((mu, r))
+        return split(mu, r)[0], ()
+
+    monkeypatch.setattr(comparison, "through_box_split", drop_lower)
+    faulty = verify.check_split_contract(6, 8)
+    assert faulty.cells == clean.cells
+    # Counterexample text, byte for byte.
+    assert len(faulty.failures) == 1296
+    assert faulty.failures[0] == "split of (2, 1) at row 2: 4, oracle 5"
+    assert faulty.failures[-1] == "split of (6, 5, 4, 2, 1) at row 5: 152, oracle 227"
+    # The sweep asks about each distinct corner once.
+    assert len(asked) == len(set(asked)) < clean.cells
     monkeypatch.undo()
     # Nothing cached under the fault outlives the call that cached it.
     again = verify.check_split_contract(6, 8)

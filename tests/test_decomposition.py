@@ -152,6 +152,8 @@ def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
     empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
     empty += sum(christoffel_diagram(a, b) == () for a in range(1, 4) for b in range(1, 5))
     assert len(faulty.failures) == faulty.cells - empty
+    assert faulty.failures[0] == "decompose((1,)) values to 3, oracle 2"
+    assert faulty.failures[-1] == "decompose of the 3x4 staircase values to 6, oracle 5"
 
 
 def test_h_value_shares_values_across_a_sweep():

@@ -1,5 +1,6 @@
 """Diagram encoding, the word bijection, the counting DP, and enumeration."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from rectcat import (
     parse_diagram,
     word_to_diagram,
 )
+from rectcat import diagrams
 
 
 # ---------------------------------------------------------------- diagrams
@@ -41,6 +43,21 @@ def test_as_diagram_rejects_bad_rows():
         as_diagram([3, -1])
     with pytest.raises(ValueError):
         as_diagram([3, 4])  # increasing bottom-up
+    # The first offending row, read bottom-up, picks the message.
+    with pytest.raises(ValueError, match=r"^negative row length -1 in \(0, -1\)$"):
+        as_diagram([0, -1])
+    decreasing = r"^rows must be weakly decreasing bottom-up, got \(1, 2, -1\)$"
+    with pytest.raises(ValueError, match=decreasing):
+        as_diagram([1, 2, -1])
+    with pytest.raises(ValueError, match="^negative row length -2 in"):
+        as_diagram([-2, 5])
+
+
+def test_as_diagram_is_linear_in_trailing_zeros():
+    # Stripping the zeros one slice at a time is quadratic: over a minute at this size.
+    start = time.perf_counter()
+    assert as_diagram((1,) + (0,) * 200_000) == (1,)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_and_format_diagram():
@@ -139,8 +156,24 @@ def test_word_to_diagram_rejects_invalid_path():
 
 
 def test_diagram_to_word_rejects_oversized():
-    with pytest.raises(ValueError):
-        diagram_to_word(4, 6, (5, 3, 1))
+    # The cases test_fits_in refuses, each with the same message.
+    for a, b, mu in [(4, 6, (5, 3, 1)), (4, 6, (4, 3, 2)), (2, 2, (1, 1))]:
+        with pytest.raises(ValueError, match=rf"^diagram \({mu[0]}, .* does not fit the {a}x{b} "):
+            diagram_to_word(a, b, mu)
+    with pytest.raises(ValueError, match="^negative row length"):
+        diagram_to_word(4, 6, (3, -1))
+
+
+def test_diagram_to_word_normalizes_once(monkeypatch):
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return as_diagram(rows)
+
+    monkeypatch.setattr(diagrams, "as_diagram", spy)
+    assert diagram_to_word(4, 6, [4, 3, 1, 0]) == "0101101011"
+    assert seen == [[4, 3, 1, 0]]
 
 
 def test_round_trip_exhaustive():
