@@ -15,12 +15,12 @@ pure function with one well-defined tree per diagram.  decompose builds the
 tree with an explicit stack, without recursion, into a memo keyed by row
 tuple: a fresh dict that lives for one call, or the caller's ``memo``, which
 lives as long as the caller keeps it.  Nothing is kept between calls
-otherwise.  Equal sub-diagrams in one memo share the very same node objects;
-the folds here (h_value, expr_stats, the text normal form and ``tree``) walk
-the structure iteratively and compute each shared node once, and the JSON
-writer joins a shared node's text once, when it meets the node again.
-h_value(expr, values=None) likewise takes the caller's dict of node values,
-so a sweep over one memo evaluates each shared node once in all.
+otherwise.  Equal sub-diagrams in one memo share the very same node objects,
+and every node carries its value, computed once when it is built, so a sweep
+over one memo evaluates each shared node once in all.  The folds here
+(expr_stats, the text normal form and ``tree``) walk the structure
+iteratively and compute each shared node once, and the JSON writer joins a
+shared node's text once, when it meets the node again.
 
 Two printed forms exist: render(expr) is the sum-of-products normal form, one
 term per summand, and render(expr, "json") is the tree as built in JSON,
@@ -31,7 +31,7 @@ that needs only one of them builds only that one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 
@@ -44,34 +44,43 @@ from .formulas import catalan
 class One:
     """Empty diagram: the multiplicative unit, value 1."""
 
+    value = 1
 
+
+# A node's value is set once, from its children's; ==, hash and repr ignore it.
 @dataclass(frozen=True)
 class Iso:
     """Isosceles staircase I_n = (n-1, n-2, ..., 1): value catalan(n)."""
 
     n: int
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"staircase index must be positive, got {self.n}")
+        object.__setattr__(self, "value", catalan(self.n))
 
 
 @dataclass(frozen=True)
 class Sum:
     terms: tuple
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a sum needs at least one term")
+        object.__setattr__(self, "value", sum(term.value for term in self.terms))
 
 
 @dataclass(frozen=True)
 class Prod:
     factors: tuple
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("a product needs at least one factor")
+        object.__setattr__(self, "value", prod(factor.value for factor in self.factors))
 
 
 DecompExpr = One | Iso | Sum | Prod
@@ -121,13 +130,14 @@ def decompose(mu, memo: dict | None = None) -> DecompExpr:
             built[nu] = ONE
             continue
         n = _max_isosceles(nu)
-        if nu == iso_rows(n):
-            built[nu] = Iso(n)
-            continue
         # Topmost row sticking out of I_n.  The row above it holds at most
         # n - r - 1 boxes, so row r ends in an outer corner, and only a top
-        # row can shrink to zero.
-        r = next(r for r in range(len(nu), 0, -1) if nu[r - 1] > n - r)
+        # row can shrink to zero.  With none, nu holds I_n and has no row
+        # past it, so nu is I_n.
+        r = next((r for r in range(len(nu), 0, -1) if nu[r - 1] > n - r), 0)
+        if not r:
+            built[nu] = Iso(n)
+            continue
         slimmed = nu[: r - 1] + (nu[r - 1] - 1,) * (nu[r - 1] > 1) + nu[r:]
         parts = (slimmed, *_through_box_split(nu, r))
         stack.append((nu, parts))
@@ -143,12 +153,9 @@ def _children(node) -> tuple:
     return ()
 
 
-def _fold(root, leaf, combine_sum, combine_prod, done: dict | None = None):
-    """Evaluate bottom-up over the possibly shared tree, without recursion.
-
-    Values go into ``done`` by node id; nodes a caller's dict holds are skipped.
-    """
-    done = {} if done is None else done
+def _fold(root, leaf, combine_sum, combine_prod):
+    """Evaluate bottom-up over the possibly shared tree, without recursion."""
+    done = {}  # node id -> value, for this call only
     stack = [root]
     while stack:
         node = stack[-1]
@@ -171,19 +178,12 @@ def _fold(root, leaf, combine_sum, combine_prod, done: dict | None = None):
     return done[id(root)]
 
 
-def _leaf_value(node) -> int:
-    return 1 if isinstance(node, One) else catalan(node.n)
+def h_value(expr) -> int:
+    """The expression's value: One -> 1, Iso(n) -> catalan(n), +, *.
 
-
-def h_value(expr, values: dict | None = None) -> int:
-    """Evaluate the expression: One -> 1, Iso(n) -> catalan(n), +, *.
-
-    Node values go into ``values``, keyed by node id: a fresh dict unless the
-    caller passes one to evaluate shared nodes once across calls.  Ids are
-    only unique among live objects, so such a dict is valid only while its
-    nodes are kept alive, e.g. by the ``decompose`` memo that built them.
+    Each node computed it once, when it was built.
     """
-    return _fold(expr, _leaf_value, sum, prod, values)
+    return expr.value
 
 
 def expr_stats(expr) -> tuple[int, int, int]:

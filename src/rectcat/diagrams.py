@@ -147,9 +147,8 @@ def word_to_diagram(a: int, b: int, word: str) -> Diagram:
 
 def diagram_to_word(a: int, b: int, mu) -> str:
     """Word of the path carving out ``mu``; inverse of word_to_diagram."""
-    check_rect(a, b)
-    mu = as_diagram(mu)
     bounds = christoffel_diagram(a, b)
+    mu = as_diagram(mu)
     if len(mu) > len(bounds) or any(map(lt, bounds, mu)):
         raise ValueError(f"diagram {mu} does not fit the {a}x{b} staircase")
     return _word(b, [0] * (a - len(mu)) + list(mu[::-1]))
@@ -179,7 +178,6 @@ def count_paths(mu) -> int:
 
 def count_rect(a: int, b: int) -> int:
     """Number of (a,b)-Dyck paths: count_paths over the maximal staircase."""
-    check_rect(a, b)
     return count_paths(christoffel_diagram(a, b))
 
 
@@ -204,9 +202,8 @@ def enumerate_paths(a: int, b: int, cap: int | None = None) -> list[tuple[str, D
     exceeds ``cap`` (default 10**6, overridable via the RECTCAT_MAX_ENUM
     environment variable).
     """
-    check_rect(a, b)
-    cap = _enum_cap(cap)
     total = count_rect(a, b)
+    cap = _enum_cap(cap)
     if total > cap:
         raise TooManyPaths(total, cap)
     # An odometer over the down-step positions, xs[i] running from xs[i-1] up

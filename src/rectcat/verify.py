@@ -103,20 +103,20 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
 
 def check_decomposition(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
-    # One memo and one value table for the sweep: its diagrams share many parts.
-    memo, values = {}, {}
+    # One memo for the sweep: its diagrams share many parts, values and all.
+    memo = {}
     count = cache(diagrams.count_paths)
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
                 want = count(mu)
-                got = decomposition.h_value(decomposition.decompose(mu, memo), values)
+                got = decomposition.h_value(decomposition.decompose(mu, memo))
                 res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
             mu = diagrams.christoffel_diagram(a, b)
             want = diagrams.count_rect(a, b)
-            got = decomposition.h_value(decomposition.decompose(mu, memo), values)
+            got = decomposition.h_value(decomposition.decompose(mu, memo))
             res.check(
                 got == want,
                 "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,

@@ -92,6 +92,14 @@ def test_decompose_base_cases():
         assert decompose(iso_rows(n)) == Iso(n)
 
 
+def test_decompose_iso_leaf_exactly_on_staircases_exhaustive():
+    for rows in subdiagrams_by_filter(christoffel_diagram(7, 9)):
+        mu = as_diagram(rows)
+        if mu:
+            is_iso = mu == iso_rows(max_isosceles(mu))
+            assert isinstance(decompose(mu), Iso) == is_iso, mu
+
+
 def test_decompose_structure_frozen():
     assert decompose((2,)) == Sum((Iso(2), Prod((One(), One()))))
     assert decompose((4, 3, 1)) == Sum(
@@ -156,31 +164,48 @@ def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
     assert faulty.failures[-1] == "decompose of the 3x4 staircase values to 6, oracle 5"
 
 
-def test_h_value_shares_values_across_a_sweep():
-    memo, values = {}, {}
-    for _, mu in enumerate_paths(5, 7):
-        shared = h_value(decompose(mu, memo), values)
-        assert shared == h_value(decompose(mu)) == count_paths(mu)
-    # A second pass finds every node's value already there.
-    size = len(values)
-    for _, mu in enumerate_paths(5, 7):
-        assert h_value(decompose(mu, memo), values) == count_paths(mu)
-    assert len(values) == size
+def test_values_are_computed_once_per_node(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return catalan(n)
+
+    monkeypatch.setattr(decomposition_mod, "catalan", spy)
+    memo, paths = {}, enumerate_paths(5, 7)
+    values = [h_value(decompose(mu, memo)) for _, mu in paths]
+    assert sorted(calls) == sorted(nd.n for nd in memo.values() if isinstance(nd, Iso))
+    # A second pass returns the very nodes the first built, values and all.
+    calls.clear()
+    assert [h_value(decompose(mu, memo)) for _, mu in paths] == values
+    assert calls == []
+    for (_, mu), value in zip(paths, values):
+        assert value == h_value(decompose(mu)) == count_paths(mu)
 
 
-def test_decomposition_sweep_values_live_for_one_call(monkeypatch):
-    tables = []
+def test_decomposition_sweep_memo_lives_for_one_call(monkeypatch):
+    memos = []
 
-    def spy(expr, values=None):  # note each value table the first time it is seen
-        if not any(values is table for table in tables):
-            assert values == {}
-            tables.append(values)
-        return h_value(expr, values)
+    def spy(mu, memo=None):  # note each memo the first time it is seen
+        if not any(memo is seen for seen in memos):
+            assert memo == {}
+            memos.append(memo)
+        return decompose(mu, memo)
 
-    monkeypatch.setattr(decomposition_mod, "h_value", spy)
+    monkeypatch.setattr(decomposition_mod, "decompose", spy)
     assert verify.check_decomposition(3, 4).passed
     assert verify.check_decomposition(3, 4).passed
-    assert len(tables) == 2
+    assert len(memos) == 2
+
+
+def test_value_is_not_part_of_identity(monkeypatch):
+    clean = Iso(3)
+    monkeypatch.setattr(decomposition_mod, "catalan", lambda n: 0)
+    faulty = Iso(3)
+    assert faulty.value != clean.value
+    assert faulty == clean
+    assert hash(faulty) == hash(clean)
+    assert repr(Sum((Iso(2), One()))) == "Sum(terms=(Iso(n=2), One()))"
 
 
 def test_decompose_leaf_purity():

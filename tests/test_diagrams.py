@@ -341,6 +341,18 @@ def test_enumerate_cap_env(monkeypatch):
         enumerate_paths(2, 2)
 
 
+def test_rectangle_checked_before_other_inputs(monkeypatch):
+    # A bad rectangle is reported ahead of a bad diagram or a bad cap.
+    monkeypatch.setenv("RECTCAT_MAX_ENUM", "x")
+    bad_rect = "^rectangle sides must be positive integers, got 0x3$"
+    with pytest.raises(ValueError, match=bad_rect):
+        diagram_to_word(0, 3, (-1,))
+    with pytest.raises(ValueError, match=bad_rect):
+        enumerate_paths(0, 3)
+    with pytest.raises(ValueError, match="^RECTCAT_MAX_ENUM must be an integer, got 'x'$"):
+        enumerate_paths(2, 3)
+
+
 # ------------------------------------------------------------- properties
 
 
