@@ -81,7 +81,7 @@ METHODS = [*ROUTES, "auto"]
 
 
 def _auto_route(a: int, b: int) -> str:
-    """The cheapest route that applies: coprime, fuss, theorem, else bizley."""
+    """The first route that applies, closed forms first: coprime, fuss, theorem, else bizley."""
     if gcd(a, b) == 1:
         return "coprime"
     if b % a == 0:
@@ -447,17 +447,23 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as err:
         print(f"internal check failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    if args.json:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "results": results,
-            "failures": failures,
-        }
-        _print_report(report)
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "results": results,
+                "failures": failures,
+            }
+            _print_report(report)
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Python flushes stdout again at exit, so point
+        # it at devnull to keep that flush quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_MISMATCH if failures else EXIT_OK
 
 

@@ -13,8 +13,9 @@ theorem_fit tells which family, if either, a rectangle belongs to.
 
 from __future__ import annotations
 
+from math import perm
+
 from .diagrams import Diagram, as_diagram
-from .formulas import coprime_catalan
 
 Rect = tuple[int, int]
 TermList = list[tuple[Rect, Rect]]
@@ -86,14 +87,19 @@ def rule2_terms(a: int, family: str, n: int) -> TermList:
     raise ValueError(f"family must be 'upper' or 'lower', got {family!r}")
 
 
-def _ct_minus(t: int, n: int) -> int:
-    # Factor count at width t(n+1) - 1; the width-zero t = 1 case is 1 by
-    # convention (single degenerate path).
-    return 1 if t == 1 else coprime_catalan(t, t * (n + 1) - 1)
-
-
-def _ct_plus(t: int, n: int) -> int:
-    return 1 if t == 1 else coprime_catalan(t, t * n + 1)
+def _factor_table(a: int, s: int, c: int) -> list[int]:
+    # [0, F(1), ..., F(a)], F(t) = coprime_catalan(t, (s-1)t + c) = C(st+c-1, t-1)/t, c = +-1.
+    # Neighbouring binomials share all but m = min(s, t) factors on top and m - 1 below, so
+    # F(t+1) = F(t) perm(st+c+s-1, m) / ((t+1) perm((s-1)t+c+m-1, m-1)).
+    table = [0, 1]  # F(1) = 1 also covers the width-zero factor (s = 2, c = -1)
+    for t in range(1, a):
+        m = min(s, t)
+        num = table[t] * perm(s * t + c + s - 1, m)
+        factor, rem = divmod(num, (t + 1) * perm((s - 1) * t + c + m - 1, m - 1))
+        if rem:  # the values run to hundreds of digits, so none is printed
+            raise ArithmeticError(f"theorem factor F({t + 1}) for s = {s}, c = {c} is not integral")
+        table.append(factor)
+    return table
 
 
 def theorem1_count(k: int, n: int) -> int:
@@ -107,9 +113,10 @@ def theorem1_count(k: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     a = 2 * k
-    total = _ct_minus(a, n)
+    ct = _factor_table(a, n + 2, -1)
+    total = ct[a]
     for j in range(1, k):
-        total -= _ct_minus(a - j, n) * _ct_minus(j, n)
+        total -= ct[a - j] * ct[j]
     return total
 
 
@@ -124,7 +131,8 @@ def theorem2_count(k: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     a = 2 * k
-    total = _ct_plus(a, n)
+    ct = _factor_table(a, n + 1, 1)
+    total = ct[a]
     for j in range(1, k + 1):
-        total += _ct_plus(a - j, n) * _ct_plus(j, n)
+        total += ct[a - j] * ct[j]
     return total

@@ -3,6 +3,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -30,7 +33,8 @@ def test_count_methods(capsys):
 
 
 def test_count_auto_resolution(capsys):
-    # coprime -> fuss -> theorem -> partition sum, cheapest applicable first
+    # coprime -> fuss -> theorem -> partition sum: the closed forms first, in
+    # the paper's order, then the general route
     for a, b, resolved, value in [
         (2, 3, "coprime", "2"),
         (4, 8, "fuss", "55"),
@@ -616,6 +620,25 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     codes = [code for _, code, _, _ in reused]
     assert set(codes) == {0, 2}
     assert codes[-8:] == [2, 0, 0, 2, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv, read_lines", [
+    (["enumerate", "3", "160"], 1),  # 738 KB of paths: the writer blocks on the full pipe
+    (["count", "30", "45", "--method", "oracle"], 0),  # the one line is written after the close
+])
+def test_closed_stdout_exits_quietly(argv, read_lines):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rectcat.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(read_lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_stdout_is_deterministic(capsys):

@@ -1,5 +1,6 @@
 """Corner splitting, the telescoping term lists, and the even-height theorems."""
 
+import math
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import subdiagrams_by_filter
 from rectcat import (
     as_diagram,
+    bizley_count,
     christoffel_diagram,
     coprime_catalan,
     count_paths,
@@ -292,3 +294,57 @@ def test_even_height_closed_form_width_plus_two():
             + coprime_catalan(3, 3 * n + 1) ** 2
         )
         assert count_rect(6, 6 * n + 2) == want
+
+
+# --------------------------------------------------------- factor table
+
+
+def _theorem_rectangles(max_a, max_b, max_cells):
+    for a in range(2, max_a + 1, 2):
+        for b in range(1, min(max_b, max_cells // a) + 1):
+            fit = comparison.theorem_fit(a, b)
+            if fit is not None:
+                family, k, n = fit
+                count = theorem1_count if family == "upper" else theorem2_count
+                yield a, b, family, count(k, n)
+
+
+def test_theorems_match_bizley_over_the_count_workload_range():
+    # Every theorem rectangle has gcd 2, so the partition sum is cheap here.
+    families = []
+    for a, b, family, value in _theorem_rectangles(300, 450, 300 * 450):
+        assert gcd(a, b) == 2
+        assert value == bizley_count(a, b), (a, b)
+        families.append(family)
+    assert len(families) == 2030 and set(families) == {"upper", "lower"}
+
+
+def test_theorems_match_oracle_up_to_4000_cells():
+    seen = 0
+    for a, b, _, value in _theorem_rectangles(4000, 2000, 4000):
+        assert value == diagrams.count_rect(a, b), (a, b)
+        seen += 1
+    assert seen == 1951
+
+
+@pytest.mark.parametrize("family", ["upper", "lower"])
+def test_factor_table_matches_coprime_catalan(family):
+    for n in range(13):
+        s, c = (n + 2, -1) if family == "upper" else (n + 1, 1)
+        table = comparison._factor_table(60, s, c)
+        assert len(table) == 61 and table[1] == 1  # F(1) = 1, width zero included
+        for t in range(1, 61):
+            if (s - 1) * t + c >= 1:
+                assert table[t] == coprime_catalan(t, (s - 1) * t + c), (family, n, t)
+
+
+def test_factor_table_refuses_to_round(monkeypatch):
+    # c = 0 breaks coprimality: F(2) = C(3, 1) / 2 is not an integer.
+    with pytest.raises(ArithmeticError, match=r"^theorem factor F\(2\) for s = 2, c = 0 is not integral$"):
+        comparison._factor_table(4, 2, 0)
+    # A numerator off by one from the second step on: the division would have
+    # to round, and the message carries none of the big values.
+    monkeypatch.setattr(comparison, "perm", lambda n, k: math.perm(n, k) + (k == 2))
+    with pytest.raises(ArithmeticError) as err:
+        theorem1_count(148, 0)
+    assert str(err.value) == "theorem factor F(3) for s = 2, c = -1 is not integral"
