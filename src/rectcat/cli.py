@@ -250,14 +250,10 @@ def _cmd_expand(args):
             f"{a}x{b} fits neither family b = a(n+1)-2 nor b = an+2"
         )
     family, _, n = fit
-    terms = comparison.rule2_terms(a, family, n)
+    terms, step, diff = verify.rule2_bridge(a, b, family, n)
     lines = [f"family: {family} (a={a}, b={b}, n={n})"]
-    total = 0
     items = []
-    for left, right in terms:
-        lc = diagrams.count_rect(*left)
-        rc = diagrams.count_rect(*right)
-        total += lc * rc
+    for left, right, lc, rc in terms:
         lt, rt = _digits(lc), _digits(rc)
         lines.append(
             f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {_digits(lc * rc)}"
@@ -270,7 +266,7 @@ def _cmd_expand(args):
                 "right_count": rt,
             }
         )
-    step, diff = verify.width_step(a, b, family)
+    total = sum(lc * rc for _, _, lc, rc in terms)
     total_text, diff_text = _digits(total), _digits(diff)
     failures = []
     if total != diff:
@@ -327,11 +323,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit one JSON object instead of text"
     )
+    rect = argparse.ArgumentParser(add_help=False, parents=[common])
+    rect.add_argument("a", type=int)
+    rect.add_argument("b", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="count the paths of a rectangle")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("count", parents=[rect], help="count the paths of a rectangle")
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument(
         "--check-bound",
@@ -346,11 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "christoffel",
-        parents=[common],
+        parents=[rect],
         help="maximal staircase rows, box count, and growth profile",
     )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
     p.set_defaults(handler=_cmd_christoffel)
 
     p = sub.add_parser(
@@ -363,10 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser(
-        "enumerate", parents=[common], help="list every path word with its diagram"
+        "enumerate", parents=[rect], help="list every path word with its diagram"
     )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
     p.add_argument(
         "--limit",
         type=int,
@@ -397,11 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "expand",
-        parents=[common],
+        parents=[rect],
         help="telescoping term list of a family rectangle, with counts",
     )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser(

@@ -102,6 +102,12 @@ def _factor_table(a: int, s: int, c: int) -> list[int]:
     return table
 
 
+def _theorem_sum(k: int, s: int, c: int) -> int:
+    # F(2k) + c * sum of F(2k-j) F(j) over j < k (upper, c = -1) or j <= k (lower, c = +1).
+    ct = _factor_table(2 * k, s, c)
+    return ct[2 * k] + c * sum(ct[2 * k - j] * ct[j] for j in range(1, k + (c > 0)))
+
+
 def theorem1_count(k: int, n: int) -> int:
     """Paths in the (2k)-by-(2k(n+1) - 2) rectangle, by subtraction.
 
@@ -112,12 +118,7 @@ def theorem1_count(k: int, n: int) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    a = 2 * k
-    ct = _factor_table(a, n + 2, -1)
-    total = ct[a]
-    for j in range(1, k):
-        total -= ct[a - j] * ct[j]
-    return total
+    return _theorem_sum(k, n + 2, -1)
 
 
 def theorem2_count(k: int, n: int) -> int:
@@ -130,9 +131,4 @@ def theorem2_count(k: int, n: int) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    a = 2 * k
-    ct = _factor_table(a, n + 1, 1)
-    total = ct[a]
-    for j in range(1, k + 1):
-        total += ct[a - j] * ct[j]
-    return total
+    return _theorem_sum(k, n + 1, 1)

@@ -11,7 +11,7 @@ convention, and it is allowed to disagree with ballot_value).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 
 def binomial(n: int, k: int) -> int:
@@ -23,10 +23,10 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int, den: int, what: str, *args) -> int:
     q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{what}: {num} is not divisible by {den}")
+    if r:  # name the call, what.format(*args), but no operand: str() refuses 4300+ digits
+        raise ArithmeticError(f"{what.format(*args)} is not integral")
     return q
 
 
@@ -34,14 +34,14 @@ def catalan(n: int) -> int:
     """n-th Catalan number C(2n, n) / (n + 1); counts paths in an n-by-n square."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _exact_div(binomial(2 * n, n), n + 1, f"catalan({n})")
+    return _exact_div(binomial(2 * n, n), n + 1, "catalan({})", n)
 
 
 def fuss_catalan(a: int, k: int) -> int:
     """C(ak + a, a) / (ak + 1); counts paths in an a-by-(a*k) rectangle."""
     if a < 1 or k < 1:
         raise ValueError(f"a and k must be positive, got a={a}, k={k}")
-    return _exact_div(binomial(a * k + a, a), a * k + 1, f"fuss_catalan({a},{k})")
+    return _exact_div(binomial(a * k + a, a), a * k + 1, "fuss_catalan({},{})", a, k)
 
 
 def coprime_catalan(a: int, b: int) -> int:
@@ -51,22 +51,11 @@ def coprime_catalan(a: int, b: int) -> int:
     g = gcd(a, b)
     if g != 1:
         raise ValueError(f"sides must be coprime, got gcd({a},{b}) = {g}")
-    return _exact_div(binomial(a + b, a), a + b, f"coprime_catalan({a},{b})")
+    return _exact_div(binomial(a + b, a), a + b, "coprime_catalan({},{})", a, b)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 def prime_rect(p: int, b: int) -> int:
@@ -80,7 +69,7 @@ def prime_rect(p: int, b: int) -> int:
     if b < 1:
         raise ValueError(f"width must be positive, got {b}")
     if b % p == 0:
-        return _exact_div(binomial(p + b + 1, p), p + b + 1, f"prime_rect({p},{b})")
+        return _exact_div(binomial(p + b + 1, p), p + b + 1, "prime_rect({},{})", p, b)
     return coprime_catalan(p, b)
 
 
@@ -123,18 +112,12 @@ def ballot_brute(a: int, b: int, k: int) -> int:
     """
     if a < 0 or b < 0 or k < 0:
         raise ValueError(f"arguments must be nonnegative, got {a}, {b}, {k}")
-    ways = [[0] * (b + 1) for _ in range(a + 1)]
-    ways[0][0] = 1
-    for x in range(a + 1):
+    # row[y] counts the paths to (x, y), one column x at a time; column 0 is one each.
+    row = [1] * (b + 1)
+    for x in range(1, a + 1):
         for y in range(b + 1):
-            if x == 0 and y == 0:
-                continue
             if y < k * x:
-                continue
-            acc = 0
-            if x > 0:
-                acc += ways[x - 1][y]
-            if y > 0:
-                acc += ways[x][y - 1]
-            ways[x][y] = acc
-    return ways[a][b]
+                row[y] = 0
+            elif y:
+                row[y] += row[y - 1]
+    return row[b]

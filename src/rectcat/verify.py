@@ -54,11 +54,18 @@ def check_vs_oracle(name: str, cases) -> CheckResult:
     return res
 
 
-def width_step(a: int, b: int, family: str) -> tuple[str, int]:
-    """The adjacent-width difference the rule2 terms of (a, b) sum to, labelled."""
+def rule2_bridge(a: int, b: int, family: str, n: int) -> tuple[list, str, int]:
+    """The rule2 terms of (a, b) with their counts, and the width step they sum to.
+
+    Returns (terms, step label, step), each term (left, right, left count, right count).
+    """
+    terms = [
+        (left, right, diagrams.count_rect(*left), diagrams.count_rect(*right))
+        for left, right in comparison.rule2_terms(a, family, n)
+    ]
     wide, narrow = (b + 1, b) if family == "upper" else (b, b - 1)
     diff = diagrams.count_rect(a, wide) - diagrams.count_rect(a, narrow)
-    return f"count({a},{wide}) - count({a},{narrow})", diff
+    return terms, f"count({a},{wide}) - count({a},{narrow})", diff
 
 
 def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
@@ -68,11 +75,8 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
         a = 2 * k
         for n in range(0 if family == "lower" else 1, fam_n + 1):
             b = a * n + 2 if family == "lower" else a * (n + 1) - 2
-            _, diff = width_step(a, b, family)
-            got = sum(
-                diagrams.count_rect(*left) * diagrams.count_rect(*right)
-                for left, right in comparison.rule2_terms(a, family, n)
-            )
+            terms, _, diff = rule2_bridge(a, b, family, n)
+            got = sum(lc * rc for _, _, lc, rc in terms)
             res.check(
                 got == diff,
                 "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,
@@ -203,7 +207,7 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
         )),
         check_vs_oracle("prime-dispatch-vs-oracle", (
             ((p, b), "prime_rect({},{})", formulas.prime_rect, (p, b))
-            for p in rows if p >= 2 and formulas._is_prime(p) for b in cols
+            for p in rows if formulas._is_prime(p) for b in cols
         )),
         check_vs_oracle("bizley-vs-oracle", (
             ((a, b), "bizley({},{})", bizley.bizley_count, (a, b)) for a in rows for b in cols

@@ -44,6 +44,27 @@ def count_by_filter(a: int, b: int) -> int:
     return len(words_by_filter(a, b))
 
 
+def ballot_by_filter(a: int, b: int, k: int) -> int:
+    """Paths (0,0) -> (a,b) of unit east and north steps never below y = k*x.
+
+    Walks every placement of the a east steps and keeps the walks whose
+    every point has y >= k*x.
+    """
+    hits = 0
+    for easts in map(set, combinations(range(a + b), a)):
+        x = y = 0
+        for step in range(a + b):
+            if step in easts:
+                x += 1
+            else:
+                y += 1
+            if y < k * x:
+                break
+        else:
+            hits += 1
+    return hits
+
+
 def subdiagrams_by_filter(mu) -> list[tuple[int, ...]]:
     """All weakly decreasing row fillings bounded row-wise by ``mu``.
 

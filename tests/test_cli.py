@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -137,6 +138,21 @@ def test_count_bizley_fault_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "6", "9", "--method", "bizley")
     assert (code, out) == (3, "")
     assert err.startswith("internal check failed: ")
+
+
+def test_inexact_division_past_the_digit_limit_is_an_internal_error(capsys, monkeypatch):
+    # The dividends here run to about 12,000 digits, past what str() converts.
+    binomial = formulas.binomial
+    monkeypatch.setattr(formulas, "binomial", lambda n, k: binomial(n, k) + 1)
+    for argv, call in [
+        (["count", "20000", "20000"], "fuss_catalan(20000,1)"),
+        (["formula", "catalan", "20000"], "catalan(20000)"),
+        (["formula", "catalan", "200"], "catalan(200)"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"internal check failed: {call}")
+        assert not re.search(r"\d{21}", err)
 
 
 # -------------------------------------------------------------- christoffel
@@ -303,6 +319,21 @@ def test_decompose_argument_errors(capsys):
     assert "both rectangle sides" in err
 
 
+def test_decompose_reports_a_wrong_value(capsys, monkeypatch):
+    monkeypatch.setattr(decomposition, "catalan", lambda n: 1)
+    assert run(capsys, "decompose", "4", "6") == (
+        3,
+        "expr: C4 + C3 + C2*C2\n"
+        "value: 3\n"
+        "oracle: 23\n"
+        "summands: 3\n"
+        "leaves: 5\n"
+        "depth: 4\n"
+        "FAIL: decomposition values to 3, oracle 23\n",
+        "",
+    )
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -458,6 +489,27 @@ def test_verify_json_reports_failures(capsys, monkeypatch):
     assert any(c["failures"] for c in report["results"]["checks"])
 
 
+def test_verify_lists_ten_counterexamples_then_the_rest_as_a_count(capsys, monkeypatch):
+    monkeypatch.setattr(bizley, "bizley_count", lambda a, b: 0)
+    code, out, _ = run(capsys, "verify", "--max-a", "3", "--max-b", "4")
+    assert code == 3
+    assert out.splitlines()[-13:] == [
+        "counterexamples:",
+        "  bizley(1,1) = 0, oracle 1",
+        "  bizley(1,2) = 0, oracle 1",
+        "  bizley(1,3) = 0, oracle 1",
+        "  bizley(1,4) = 0, oracle 1",
+        "  bizley(2,1) = 0, oracle 1",
+        "  bizley(2,2) = 0, oracle 2",
+        "  bizley(2,3) = 0, oracle 2",
+        "  bizley(2,4) = 0, oracle 3",
+        "  bizley(3,1) = 0, oracle 1",
+        "  bizley(3,2) = 0, oracle 2",
+        "  ... and 2 more",
+        "RESULT: FAIL (15 checks, 140 cells)",
+    ]
+
+
 def test_identities(capsys):
     code, out, _ = run(capsys, "identities", "--max-a", "6", "--max-b", "12")
     assert code == 0
@@ -494,6 +546,22 @@ def test_expand_rejects_other_rectangles(capsys):
     code, _, err = run(capsys, "expand", "5", "7")
     assert code == 2
     assert "fits neither family" in err
+
+
+def test_expand_reports_a_broken_bridge(capsys, monkeypatch):
+    # The terms come from comparison.rule2_terms at call time, so a fault there shows.
+    monkeypatch.setattr(comparison, "rule2_terms", lambda a, family, n: [])
+    assert run(capsys, "expand", "6", "8") == (
+        3,
+        "family: lower (a=6, b=8, n=1)\n"
+        "sum: 0\n"
+        "width step count(6,8) - count(6,7) = 95\n"
+        "RESULT: FAIL\n",
+        "",
+    )
+    code, out, _ = run(capsys, "expand", "6", "8", "--json")
+    assert code == 3
+    assert json.loads(out)["failures"] == ["term sum 0 differs from width step 95"]
 
 
 # ----------------------------------------------------------------- formula

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_by_filter
+from oracles import ballot_by_filter, count_by_filter
 from rectcat import (
     avoidance_value,
     ballot_brute,
@@ -18,7 +18,7 @@ from rectcat import (
     fuss_catalan,
     prime_rect,
 )
-from rectcat.formulas import _exact_div
+from rectcat.formulas import _exact_div, _is_prime
 
 
 # ----------------------------------------------------------------- binomial
@@ -145,11 +145,22 @@ def test_prime_rect_counts_rectangles():
 
 
 def test_prime_rect_rejects_composite_height():
-    for bad in (0, 1, 4, 6, 9):
-        with pytest.raises(ValueError):
-            prime_rect(bad, 3)
+    # 25: the first height whose smallest factor is an odd one past 3
+    for bad in (0, 1, 4, 6, 9, 25):
+        for b in (3, 5):
+            with pytest.raises(ValueError):
+                prime_rect(bad, b)
     with pytest.raises(ValueError):
         prime_rect(3, 0)
+
+
+def test_is_prime_matches_a_sieve():
+    top = 10**4
+    sieve = [False, False] + [True] * (top - 2)
+    for p in range(2, top):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, top, p))
+    assert [p for p in range(-3, top) if _is_prime(p)] == [p for p in range(top) if sieve[p]]
 
 
 # ------------------------------------------------- ballot-style expressions
@@ -219,3 +230,10 @@ def test_ballot_brute_small_grid_by_hand():
     # matches counting b-by-a Dyck words when k = 1 and the grid is square
     for n in range(1, 7):
         assert ballot_brute(n, n, 1) == count_by_filter(n, n)
+
+
+def test_ballot_brute_matches_a_path_filter():
+    for a in range(7):
+        for b in range(13):
+            for k in range(4):
+                assert ballot_brute(a, b, k) == ballot_by_filter(a, b, k), (a, b, k)
