@@ -50,13 +50,15 @@ def _fuss(a: int, b: int) -> int:
     return formulas.fuss_catalan(a, b // a)
 
 
-def _theorem(a: int, b: int) -> int:
+def _theorem_fit(a: int, b: int) -> tuple[str, int, int]:
     fit = comparison.theorem_fit(a, b)
     if fit is None:
-        raise ValueError(
-            f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2"
-        )
-    family, k, n = fit
+        raise ValueError(f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2")
+    return fit
+
+
+def _theorem(a: int, b: int) -> int:
+    family, k, n = _theorem_fit(a, b)
     if family == "upper":
         return comparison.theorem1_count(k, n)
     return comparison.theorem2_count(k, n)
@@ -102,10 +104,10 @@ def _digits(n) -> str:
 
 
 def _append_cache(path: str, a: int, b: int, method: str, count: str, micros: int) -> None:
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if fresh:
+        # Append mode starts at the end; a pipe has no position and gets the header too.
+        if not fh.seekable() or fh.tell() == 0:
             writer.writerow(["a", "b", "method", "count", "micros"])
         writer.writerow([a, b, method, count, micros])
 
@@ -244,13 +246,8 @@ def _cmd_identities(args):
 def _cmd_expand(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
-    fit = comparison.theorem_fit(a, b)
-    if fit is None:
-        raise ValueError(
-            f"{a}x{b} fits neither family b = a(n+1)-2 nor b = an+2"
-        )
-    family, _, n = fit
-    terms, step, diff = verify.rule2_bridge(a, b, family, n)
+    family, _, n = _theorem_fit(a, b)
+    terms, total, step, diff = verify.rule2_bridge(a, b, family, n)
     lines = [f"family: {family} (a={a}, b={b}, n={n})"]
     items = []
     for left, right, lc, rc in terms:
@@ -266,7 +263,6 @@ def _cmd_expand(args):
                 "right_count": rt,
             }
         )
-    total = sum(lc * rc for _, _, lc, rc in terms)
     total_text, diff_text = _digits(total), _digits(diff)
     failures = []
     if total != diff:
@@ -414,8 +410,6 @@ def _print_report(report) -> None:
     spliced = []
 
     def splice(value):
-        if not isinstance(value, _Verbatim):
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
         spliced.append(value.pieces)
         return _SPLICE
 
@@ -454,7 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader left early.  Python flushes stdout again at exit, so point
         # it at devnull to keep that flush quiet too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_MISMATCH if failures else EXIT_OK
 
 

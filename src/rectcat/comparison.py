@@ -1,14 +1,14 @@
 """Corner splitting and the two closed-form theorems for even heights.
 
-through_box_split is the workhorse recurrence: fixing the outer-corner box
-that ends row r, the paths through that box factor into two independent
-smaller staircases, while the paths avoiding it live in the diagram with
-that box removed.  Summing coprime products of exactly this shape over the
-families b = a(n+1) - 2 (upper) and b = an + 2 (lower), a = 2k, yields
-closed forms for rectangles whose sides share only the factor 2:
-theorem1_count subtracts the products from the coprime count one width up,
-theorem2_count adds them to the coprime count one width down.
-theorem_fit tells which family, if either, a rectangle belongs to.
+through_box_split is the workhorse recurrence: at the outer-corner box ending
+row r it returns (slimmed, upper, lower).  The paths avoiding the box live in
+slimmed, the diagram without it; the paths through it factor into upper and
+lower, two independent smaller staircases.  Summing coprime products of the
+upper-times-lower shape over the families b = a(n+1) - 2 (upper) and
+b = an + 2 (lower), a = 2k, yields closed forms for rectangles whose sides
+share only the factor 2: theorem1_count subtracts the products from the
+coprime count one width up, theorem2_count adds them to the coprime count one
+width down.  theorem_fit tells which family, if either, a rectangle belongs to.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ Rect = tuple[int, int]
 TermList = list[tuple[Rect, Rect]]
 
 
-def through_box_split(mu, r: int) -> tuple[Diagram, Diagram]:
+def through_box_split(mu, r: int) -> tuple[Diagram, Diagram, Diagram]:
     """Split ``mu`` at the outer-corner box ending row ``r`` (1-based, bottom-up).
 
-    Returns (upper, lower): upper keeps the rows above r unchanged, lower
-    keeps the rows below r with the first mu_r columns deleted.  Writing j
-    for mu_r, the counting contract is
+    Returns (slimmed, upper, lower): slimmed is ``mu`` with row r one box
+    shorter (a row left empty is dropped), upper keeps the rows above r
+    unchanged, lower keeps the rows below r with the first mu_r columns
+    deleted.  The counting contract is
 
-        count_paths(mu) == count_paths(mu with row r shrunk to j - 1)
-                            + count_paths(upper) * count_paths(lower).
+        count_paths(mu) == count_paths(slimmed) + count_paths(upper) * count_paths(lower).
     """
     mu = as_diagram(mu)
     if not 1 <= r <= len(mu):
@@ -41,11 +41,12 @@ def through_box_split(mu, r: int) -> tuple[Diagram, Diagram]:
     return _through_box_split(mu, r)
 
 
-def _through_box_split(mu: Diagram, r: int) -> tuple[Diagram, Diagram]:
-    # The rows below r are all at least j = mu_r and weakly decrease, so the
-    # rows that shift down to zero are exactly a suffix of them.
+def _through_box_split(mu: Diagram, r: int) -> tuple[Diagram, Diagram, Diagram]:
+    # Only a top row of one box shrinks to zero.  The rows below r are at least
+    # j = mu_r and weakly decrease, so those shifting down to zero are a suffix.
     j = mu[r - 1]
-    return mu[r:], tuple(x - j for x in mu[: r - 1] if x > j)
+    slimmed = mu[: r - 1] + (j - 1,) * (j > 1) + mu[r:]
+    return slimmed, mu[r:], tuple(x - j for x in mu[: r - 1] if x > j)
 
 
 def theorem_fit(a: int, b: int) -> tuple[str, int, int] | None:

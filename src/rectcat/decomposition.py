@@ -114,6 +114,7 @@ def decompose(mu, memo: dict | None = None) -> DecompExpr:
     """
     mu = as_diagram(mu)
     built = {} if memo is None else memo
+    built.setdefault((), ONE)
     # Items are (diagram, None) to expand and (diagram, parts) to assemble
     # once its parts are built.  Parts have fewer boxes than their diagram,
     # so no diagram is expanded while it is still being assembled.
@@ -126,20 +127,15 @@ def decompose(mu, memo: dict | None = None) -> DecompExpr:
             continue
         if nu in built:
             continue
-        if not nu:
-            built[nu] = ONE
-            continue
         n = _max_isosceles(nu)
         # Topmost row sticking out of I_n.  The row above it holds at most
-        # n - r - 1 boxes, so row r ends in an outer corner, and only a top
-        # row can shrink to zero.  With none, nu holds I_n and has no row
-        # past it, so nu is I_n.
+        # n - r - 1 boxes, so row r ends in an outer corner.  With none, nu
+        # holds I_n and has no row past it, so nu is I_n.
         r = next((r for r in range(len(nu), 0, -1) if nu[r - 1] > n - r), 0)
         if not r:
             built[nu] = Iso(n)
             continue
-        slimmed = nu[: r - 1] + (nu[r - 1] - 1,) * (nu[r - 1] > 1) + nu[r:]
-        parts = (slimmed, *_through_box_split(nu, r))
+        parts = _through_box_split(nu, r)
         stack.append((nu, parts))
         stack.extend((part, None) for part in parts if part not in built)
     return built[mu]

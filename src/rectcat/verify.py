@@ -54,18 +54,19 @@ def check_vs_oracle(name: str, cases) -> CheckResult:
     return res
 
 
-def rule2_bridge(a: int, b: int, family: str, n: int) -> tuple[list, str, int]:
+def rule2_bridge(a: int, b: int, family: str, n: int) -> tuple[list, int, str, int]:
     """The rule2 terms of (a, b) with their counts, and the width step they sum to.
 
-    Returns (terms, step label, step), each term (left, right, left count, right count).
+    Returns (terms, sum, step label, step), each term (left, right, left count, right count).
     """
     terms = [
         (left, right, diagrams.count_rect(*left), diagrams.count_rect(*right))
         for left, right in comparison.rule2_terms(a, family, n)
     ]
+    total = sum(lc * rc for _, _, lc, rc in terms)
     wide, narrow = (b + 1, b) if family == "upper" else (b, b - 1)
     diff = diagrams.count_rect(a, wide) - diagrams.count_rect(a, narrow)
-    return terms, f"count({a},{wide}) - count({a},{narrow})", diff
+    return terms, total, f"count({a},{wide}) - count({a},{narrow})", diff
 
 
 def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
@@ -75,8 +76,7 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
         a = 2 * k
         for n in range(0 if family == "lower" else 1, fam_n + 1):
             b = a * n + 2 if family == "lower" else a * (n + 1) - 2
-            terms, _, diff = rule2_bridge(a, b, family, n)
-            got = sum(lc * rc for _, _, lc, rc in terms)
+            _, got, _, diff = rule2_bridge(a, b, family, n)
             res.check(
                 got == diff,
                 "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,
@@ -96,8 +96,7 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
                     beyond = mu[r] if r < len(mu) else 0
                     if mu[r - 1] <= beyond:
                         continue
-                    upper, lower = split(mu, r)
-                    slim = mu[: r - 1] + (mu[r - 1] - 1,) * (mu[r - 1] > 1) + mu[r:]
+                    slim, upper, lower = split(mu, r)
                     got = count(slim) + count(upper) * count(lower)
                     res.check(
                         got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want
@@ -155,19 +154,17 @@ def check_delta_families(max_a: int, max_b: int) -> CheckResult:
     top_k = min(8, max(1, max_a // 2))
     for k in range(1, top_k + 1):
         for n in range(0, 9):
+            families = (
+                (2 * k * (n + 1) - 1, "upper", christoffel.delta_closed_upper),
+                (2 * k * n + 2, "lower", christoffel.delta_closed_lower),
+            )
             for l in range(1, 2 * k):
-                b = 2 * k * (n + 1) - 1
-                got = christoffel.delta(2 * k, b, l)
-                want = christoffel.delta_closed_upper(k, n, l)
-                res.check(
-                    got == want, "delta(2*{},{},{}) = {}, upper form {}", k, b, l, got, want
-                )
-                b = 2 * k * n + 2
-                got = christoffel.delta(2 * k, b, l)
-                want = christoffel.delta_closed_lower(k, n, l)
-                res.check(
-                    got == want, "delta(2*{},{},{}) = {}, lower form {}", k, b, l, got, want
-                )
+                for b, label, form in families:
+                    got = christoffel.delta(2 * k, b, l)
+                    want = form(k, n, l)
+                    res.check(
+                        got == want, "delta(2*{},{},{}) = {}, {} form {}", k, b, l, got, label, want
+                    )
     return res
 
 

@@ -141,8 +141,9 @@ def test_criterion_6_split_and_telescope_contracts():
                 for r in range(1, len(mu) + 1):
                     if mu[r - 1] <= (mu[r] if r < len(mu) else 0):
                         continue
-                    upper, lower = through_box_split(mu, r)
+                    slimmed, upper, lower = through_box_split(mu, r)
                     slim = as_diagram(mu[: r - 1] + (mu[r - 1] - 1,) + mu[r:])
+                    assert slimmed == slim
                     assert count_paths(mu) == count_paths(slim) + count_paths(
                         upper
                     ) * count_paths(lower)

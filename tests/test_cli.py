@@ -545,7 +545,7 @@ def test_expand_upper_family(capsys):
 def test_expand_rejects_other_rectangles(capsys):
     code, _, err = run(capsys, "expand", "5", "7")
     assert code == 2
-    assert "fits neither family" in err
+    assert "fits neither theorem family" in err
 
 
 def test_expand_reports_a_broken_bridge(capsys, monkeypatch):
@@ -709,6 +709,23 @@ def test_closed_stdout_exits_quietly(argv, read_lines):
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # main points a stdout whose reader left at devnull; the devnull it opened must not stay open.
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert cli.main(["enumerate", "6", "9"]) == 0
+            monkeypatch.undo()
+    assert open_fds() == before
+
+
 def test_stdout_is_deterministic(capsys):
     outs = set()
     for _ in range(3):
@@ -735,6 +752,22 @@ def test_cache_appends_csv(capsys, tmp_path):
     assert rows[2][:4] == ["4", "6", "oracle", "23"]
     assert all(int(row[4]) >= 0 for row in rows[1:])
     assert len(rows) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cache_to_a_pipe_gets_the_header(capsys, tmp_path):
+    # A pipe has no size or position, so each write to it starts like a new file.
+    fifo = tmp_path / "counts.pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "count", "6", "9", "--cache", str(fifo)) == (0, "377\n", "")
+        rows = os.read(reader, 4096).decode().splitlines()
+    finally:
+        os.close(reader)
+    assert rows[0] == "a,b,method,count,micros"
+    assert rows[1].startswith("6,9,bizley,377,")
+    assert len(rows) == 2
 
 
 def test_cache_unwritable_path_is_a_usage_error(capsys, tmp_path):

@@ -27,10 +27,10 @@ from rectcat import comparison, diagrams, verify
 
 
 def test_split_examples():
-    assert through_box_split((4, 3, 1), 2) == ((1,), (1,))
-    assert through_box_split((4, 2, 1), 1) == ((2, 1), ())
-    assert through_box_split((2,), 1) == ((), ())
-    assert through_box_split((4, 3, 1), 3) == ((), (3, 2))
+    assert through_box_split((4, 3, 1), 2) == ((4, 2, 1), (1,), (1,))
+    assert through_box_split((4, 2, 1), 1) == ((3, 2, 1), (2, 1), ())
+    assert through_box_split((2,), 1) == ((1,), (), ())
+    assert through_box_split((4, 3, 1), 3) == ((4, 3), (), (3, 2))  # the emptied row is dropped
 
 
 def test_split_rejects_bad_rows():
@@ -53,8 +53,9 @@ def outer_corners(mu):
 def split_contract_holds(mu):
     ok = True
     for r in outer_corners(mu):
-        upper, lower = through_box_split(mu, r)
+        slimmed, upper, lower = through_box_split(mu, r)
         slim = as_diagram(mu[: r - 1] + (mu[r - 1] - 1,) + mu[r:])
+        ok &= slimmed == slim
         ok &= count_paths(mu) == count_paths(slim) + count_paths(upper) * count_paths(lower)
     return ok
 
@@ -104,7 +105,8 @@ def test_split_contract_sweep_split_cache_keeps_faults_visible(monkeypatch):
 
     def drop_lower(mu, r):  # a swap of the parts would not show: their counts multiply
         asked.append((mu, r))
-        return split(mu, r)[0], ()
+        slimmed, upper, _ = split(mu, r)
+        return slimmed, upper, ()
 
     monkeypatch.setattr(comparison, "through_box_split", drop_lower)
     faulty = verify.check_split_contract(6, 8)
@@ -267,6 +269,8 @@ def test_theorem_domain():
         theorem1_count(0, 1)
     with pytest.raises(ValueError):
         theorem1_count(2, -1)
+    with pytest.raises(ValueError):
+        theorem2_count(0, 1)
     with pytest.raises(ValueError):
         theorem2_count(2, 0)
 
