@@ -15,16 +15,9 @@ from .comparison import (
     through_box_split,
 )
 from .decomposition import (
-    DecompExpr,
-    Iso,
-    One,
-    Prod,
-    Sum,
     decompose,
     expr_stats,
     h_value,
-    iso_rows,
-    max_isosceles,
     render,
     tree,
 )
@@ -58,11 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Diagram",
-    "DecompExpr",
-    "Iso",
-    "One",
-    "Prod",
-    "Sum",
     "TooManyPaths",
     "as_diagram",
     "avoidance_value",
@@ -87,8 +75,6 @@ __all__ = [
     "fuss_catalan",
     "h_value",
     "is_valid_word",
-    "iso_rows",
-    "max_isosceles",
     "parse_diagram",
     "partitions",
     "phi",

@@ -106,7 +106,7 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
 
 def check_decomposition(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
-    # One memo for the sweep: its diagrams share many parts, values and all.
+    # One memo for the sweep: its diagrams share many rows, values and all.
     memo = {}
     count = cache(diagrams.count_paths)
     for a in range(1, min(max_a, 5) + 1):

@@ -122,25 +122,31 @@ def count_by_partition_sum(m: int, n: int) -> int:
     return int(total)
 
 
-def normal_form(expr) -> list[tuple[str, ...]]:
-    """Sum-of-products expansion of a decomposition tree, by plain recursion.
+def normal_form(rows, x: int | None = None) -> list[tuple[str, ...]]:
+    """Sum-of-products expansion of row ``x`` of a decomposition table, by plain recursion.
 
-    A term is the tuple of its Iso labels "C<n>" in construction order, One
-    factors dropped; a sum lists its terms' expansions in order, a product
-    takes every combination, first factor outermost.  Nodes are told apart by
-    their fields (terms, factors, n), and shared nodes are expanded afresh
-    wherever they occur: keep the trees small.
+    ``x`` is the last row unless given.  A term is the tuple of its iso labels
+    "C<n>" in construction order, one factors dropped; a split row
+    t_i + t_j * t_k lists the terms of t_i, then every combination of a term
+    of t_j and a term of t_k, t_j outermost.  Rows are told apart by their
+    kind, and shared rows are expanded afresh wherever they occur: keep the
+    tables small.
     """
-    if hasattr(expr, "terms"):
-        return [term for part in expr.terms for term in normal_form(part)]
-    if hasattr(expr, "factors"):
-        terms = [()]
-        for factor in expr.factors:
-            terms = [t + u for t in terms for u in normal_form(factor)]
-        return terms
-    if hasattr(expr, "n"):
-        return [(f"C{expr.n}",)]
+    row = rows[len(rows) - 1 if x is None else x]
+    if row[0] == "split":
+        _, _, i, j, k = row
+        products = [s + t for s in normal_form(rows, j) for t in normal_form(rows, k)]
+        return normal_form(rows, i) + products
+    if row[0] == "iso":
+        return [(f"C{row[2]}",)]
     return [()]
+
+
+def iso_rows(n: int) -> tuple[int, ...]:
+    """Rows of the isosceles staircase I_n = (n-1, ..., 1), bottom-up."""
+    if n < 1:
+        raise ValueError(f"staircase index must be positive, got {n}")
+    return tuple(range(n - 1, 0, -1))
 
 
 def max_isosceles_by_scan(mu) -> int:

@@ -10,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_isosceles_by_scan, normal_form, subdiagrams_by_filter
+from oracles import iso_rows, max_isosceles_by_scan, normal_form, subdiagrams_by_filter
 from rectcat import (
-    Iso,
-    One,
-    Prod,
-    Sum,
     as_diagram,
     catalan,
     christoffel_diagram,
@@ -25,14 +21,47 @@ from rectcat import (
     enumerate_paths,
     expr_stats,
     h_value,
-    iso_rows,
-    max_isosceles,
     render,
     tree,
 )
 from rectcat import decomposition as decomposition_mod
 from rectcat import verify
-from rectcat.decomposition import ONE, json_pieces
+from rectcat.decomposition import _max_isosceles, json_pieces
+
+# Catalan numbers by Segner's recurrence, independent of formulas.catalan.
+CATALAN = [1]
+for _n in range(40):
+    CATALAN.append(sum(CATALAN[i] * CATALAN[_n - i] for i in range(_n + 1)))
+
+
+def table(*spec):
+    """A table from rows without values: ("one",), ("iso", n) or ("split", i, j, k)."""
+    rows = []
+    for kind, *args in spec:
+        if kind == "split":
+            i, j, k = args
+            rows.append(("split", rows[i][1] + rows[j][1] * rows[k][1], i, j, k))
+        elif kind == "iso":
+            rows.append(("iso", CATALAN[args[0]], args[0]))
+        else:
+            rows.append(("one", 1))
+    return tuple(rows)
+
+
+def evaluate(rows) -> list[int]:
+    """Each row's value, from the row kinds and indices alone."""
+    values = []
+    for row in rows:
+        if row[0] == "split":
+            _, _, i, j, k = row
+            values.append(values[i] + values[j] * values[k])
+        else:
+            values.append(CATALAN[row[2]] if row[0] == "iso" else 1)
+    return values
+
+
+def max_isosceles(mu):
+    return _max_isosceles(as_diagram(mu))
 
 
 # ------------------------------------------------------------------ leaves
@@ -47,12 +76,17 @@ def test_iso_rows():
 
 
 def test_node_validation():
-    with pytest.raises(ValueError):
-        Iso(0)
-    with pytest.raises(ValueError):
-        Sum(())
-    with pytest.raises(ValueError):
-        Prod(())
+    # Every row has one of the three shapes: an iso row names a staircase
+    # I_n with n >= 2 (I_1 is the empty diagram, the one row), and a split
+    # row names three rows built before it.
+    for rows in subdiagrams_by_filter(christoffel_diagram(7, 9)):
+        for x, row in enumerate(decompose(rows)):
+            if row[0] == "split":
+                assert len(row) == 5 and all(0 <= c < x for c in row[2:]), (rows, row)
+            elif row[0] == "iso":
+                assert len(row) == 3 and row[2] >= 2, (rows, row)
+            else:
+                assert row == ("one", 1), (rows, row)
 
 
 def test_max_isosceles():
@@ -87,9 +121,9 @@ def test_max_isosceles_matches_scan_exhaustive():
 
 
 def test_decompose_base_cases():
-    assert decompose(()) == One()
+    assert decompose(()) == (("one", 1),)
     for n in range(2, 11):
-        assert decompose(iso_rows(n)) == Iso(n)
+        assert decompose(iso_rows(n)) == (("iso", CATALAN[n], n),)
 
 
 def test_decompose_iso_leaf_exactly_on_staircases_exhaustive():
@@ -97,49 +131,42 @@ def test_decompose_iso_leaf_exactly_on_staircases_exhaustive():
         mu = as_diagram(rows)
         if mu:
             is_iso = mu == iso_rows(max_isosceles(mu))
-            assert isinstance(decompose(mu), Iso) == is_iso, mu
+            assert (decompose(mu)[-1][0] == "iso") == is_iso, mu
 
 
 def test_decompose_structure_frozen():
-    assert decompose((2,)) == Sum((Iso(2), Prod((One(), One()))))
-    assert decompose((4, 3, 1)) == Sum(
-        (
-            Sum((Iso(4), Prod((Iso(3), One())))),
-            Prod((Iso(2), Iso(2))),
-        )
+    assert decompose((2,)) == table(("one",), ("iso", 2), ("split", 1, 0, 0))
+    # C4 + C3*1, then that + C2*C2: the lower part is built first.
+    assert decompose((4, 3, 1)) == table(
+        ("iso", 2),
+        ("one",),
+        ("iso", 3),
+        ("iso", 4),
+        ("split", 3, 2, 1),
+        ("split", 4, 0, 0),
     )
-
-
-def nodes_of(expr):
-    out = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Prod):
-            stack.extend(node.factors)
-    return out
-
-
-def leaves_of(expr):
-    return [node for node in nodes_of(expr) if isinstance(node, (One, Iso))]
 
 
 def test_decompose_is_deterministic():
     mu = christoffel_diagram(6, 9)
     first, second = decompose(mu), decompose(mu)
     assert first == second
-    # Without a caller's memo nothing outlives a call: the two trees share no
-    # node but the constant One.
-    ids = [{id(node) for node in nodes_of(expr) if node is not ONE} for expr in (first, second)]
+    # Without a caller's memo nothing outlives a call: the two tables share
+    # no row object but the constant one row.
+    ids = [{id(row) for row in rows if row[0] != "one"} for rows in (first, second)]
     assert not ids[0] & ids[1]
-    # Through one memo, a later call returns the very nodes an earlier one built.
-    memo = {}
+    # Through one memo, every call returns a prefix of the one shared row
+    # list, as the very row objects, and a repeated call adds no row.
+    memo, longest = {}, ()
+    for nu in [mu, *map(as_diagram, subdiagrams_by_filter(mu))]:
+        rows = decompose(nu, memo)
+        assert h_value(rows) == count_paths(nu)
+        assert all(x is y for x, y in zip(rows, longest))
+        longest = max(rows, longest, key=len)
+        again = decompose(nu, memo)
+        assert len(again) == len(rows) and all(x is y for x, y in zip(again, rows))
+        assert len(decompose((), memo)) <= len(longest)
     assert decompose(mu, memo) == first
-    assert memo[mu] is decompose(mu, memo)
-    assert all(decompose(nu, memo) is node for nu, node in list(memo.items()))
 
 
 def test_decompose_on_deep_staircase_keeps_recursion_limit(monkeypatch):
@@ -150,13 +177,43 @@ def test_decompose_on_deep_staircase_keeps_recursion_limit(monkeypatch):
     assert h_value(decompose(christoffel_diagram(2, 60000))) == count_rect(2, 60000)
 
 
+def test_tables_compare_and_hash_equal_on_deep_staircase():
+    # 3,000 rows, each split on the one before: equality and hashing never
+    # recurse through the chain.
+    mu = christoffel_diagram(2, 3000)
+    first, second = decompose(mu), decompose(mu)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
+def test_christoffel_tables_evaluate_with_own_catalan():
+    for a in range(1, 11):
+        for b in range(1, 16):
+            rows = decompose(christoffel_diagram(a, b))
+            values = evaluate(rows)
+            assert values[-1] == count_paths(christoffel_diagram(a, b)), (a, b)
+            assert [row[1] for row in rows] == values, (a, b)
+            assert h_value(rows) == values[-1]
+            seen, stack = set(), [len(rows) - 1]
+            while stack:
+                x = stack.pop()
+                if x not in seen:
+                    seen.add(x)
+                    if rows[x][0] == "split":
+                        assert all(c < x for c in rows[x][2:]), (a, b, x)
+                        stack += rows[x][2:]
+            assert seen == set(range(len(rows))), (a, b)
+
+
 def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
     clean = verify.check_decomposition(3, 4)
     assert clean.passed
     monkeypatch.setattr(decomposition_mod, "catalan", lambda n: catalan(n) + 1)
     faulty = verify.check_decomposition(3, 4)
     assert faulty.cells == clean.cells
-    # Every nonempty diagram has an Iso leaf, so only the empty one still passes.
+    # Every nonempty diagram has an iso row, so only the empty one still passes.
     empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
     empty += sum(christoffel_diagram(a, b) == () for a in range(1, 4) for b in range(1, 5))
     assert len(faulty.failures) == faulty.cells - empty
@@ -173,11 +230,15 @@ def test_values_are_computed_once_per_node(monkeypatch):
 
     monkeypatch.setattr(decomposition_mod, "catalan", spy)
     memo, paths = {}, enumerate_paths(5, 7)
-    values = [h_value(decompose(mu, memo)) for _, mu in paths]
-    assert sorted(calls) == sorted(nd.n for nd in memo.values() if isinstance(nd, Iso))
-    # A second pass returns the very nodes the first built, values and all.
+    tables = [decompose(mu, memo) for _, mu in paths]
+    values = [h_value(rows) for rows in tables]
+    # Each call ends on its diagram's row, so the longest table is every row built.
+    assert sorted(calls) == sorted(row[2] for row in max(tables, key=len) if row[0] == "iso")
+    # A second pass returns the very rows the first built, values and all.
     calls.clear()
-    assert [h_value(decompose(mu, memo)) for _, mu in paths] == values
+    again = [decompose(mu, memo) for _, mu in paths]
+    assert [h_value(rows) for rows in again] == values
+    assert all(rows[-1] is old[-1] for rows, old in zip(again, tables))
     assert calls == []
     for (_, mu), value in zip(paths, values):
         assert value == h_value(decompose(mu)) == count_paths(mu)
@@ -198,30 +259,34 @@ def test_decomposition_sweep_memo_lives_for_one_call(monkeypatch):
     assert len(memos) == 2
 
 
-def test_value_is_not_part_of_identity(monkeypatch):
-    clean = Iso(3)
+def test_faulty_value_makes_a_different_table(monkeypatch):
+    # A row carries its value, so a wrong value is a different table, while
+    # the shape (kinds and child indices) stays as it was.
+    clean = decompose((4, 3, 1))
     monkeypatch.setattr(decomposition_mod, "catalan", lambda n: 0)
-    faulty = Iso(3)
-    assert faulty.value != clean.value
-    assert faulty == clean
-    assert hash(faulty) == hash(clean)
-    assert repr(Sum((Iso(2), One()))) == "Sum(terms=(Iso(n=2), One()))"
+    faulty = decompose((4, 3, 1))
+    assert faulty != clean
+    assert [row[:1] + row[2:] for row in faulty] == [row[:1] + row[2:] for row in clean]
+    assert h_value(faulty) == 0
+    assert repr(decompose((2,))) == "(('one', 1), ('iso', 0, 2), ('split', 1, 1, 0, 0))"
 
 
 def test_decompose_leaf_purity():
     for a, b in [(4, 6), (6, 9), (5, 7), (6, 8)]:
-        for leaf in leaves_of(decompose(christoffel_diagram(a, b))):
-            assert isinstance(leaf, (One, Iso))
+        for row in decompose(christoffel_diagram(a, b)):
+            assert row[0] in ("one", "iso", "split")
+            if row[0] != "split":
+                assert row in (("one", 1), ("iso", CATALAN[row[-1]], row[-1]))
 
 
 # ------------------------------------------------------------- evaluation
 
 
 def test_h_value_known():
-    assert h_value(One()) == 1
-    assert h_value(Iso(3)) == 5
-    assert h_value(Sum((Iso(2), One()))) == 3
-    assert h_value(Prod((Iso(2), Iso(3)))) == 10
+    assert h_value(table(("one",))) == 1
+    assert h_value(table(("iso", 3))) == 5
+    assert h_value(table(("one",), ("iso", 2), ("split", 1, 0, 0))) == 3
+    assert h_value(table(("one",), ("iso", 2), ("iso", 3), ("split", 0, 1, 2))) == 11
     assert h_value(decompose((4, 3, 1))) == 23
     assert h_value(decompose((2,))) == 3
     assert h_value(decompose(christoffel_diagram(6, 9))) == 377
@@ -256,19 +321,30 @@ def test_decomposition_sound_random():
 
 
 def test_expr_stats_known():
-    assert expr_stats(One()) == (1, 1, 1)
-    assert expr_stats(Iso(5)) == (1, 1, 1)
+    assert expr_stats(table(("one",))) == (1, 1, 1)
+    assert expr_stats(table(("iso", 5))) == (1, 1, 1)
     assert expr_stats(decompose((4, 3, 1))) == (3, 5, 4)
-    assert expr_stats(Sum((Iso(2), Prod((Iso(2), One()))))) == (2, 3, 3)
+    # C2 + C2*1: the product sits one level below the sum.
+    assert expr_stats(table(("one",), ("iso", 2), ("split", 1, 1, 0))) == (2, 3, 3)
+    # (1 + C2*C2) + C2*1: the sum is the deeper side.
+    deeper = table(("one",), ("iso", 2), ("split", 0, 1, 1), ("split", 2, 1, 0))
+    assert expr_stats(deeper) == (3, 5, 4)
+
+
+def tree_leaves_and_depth(node) -> tuple[int, int]:
+    kids = node.get("terms") or node.get("factors") or []
+    if not kids:
+        return 1, 1
+    counts = [tree_leaves_and_depth(kid) for kid in kids]
+    return sum(c[0] for c in counts), 1 + max(c[1] for c in counts)
 
 
 def test_expr_stats_summands_match_rendered_terms():
     for a, b in [(4, 6), (6, 9), (6, 8), (5, 7)]:
-        expr = decompose(christoffel_diagram(a, b))
-        summands, leaves, depth = expr_stats(expr)
-        assert summands == render(expr, "text").count(" + ") + 1
-        assert leaves == len(leaves_of(expr))
-        assert depth >= 1
+        rows = decompose(christoffel_diagram(a, b))
+        summands, leaves, depth = expr_stats(rows)
+        assert summands == render(rows, "text").count(" + ") + 1
+        assert (leaves, depth) == tree_leaves_and_depth(tree(rows))
 
 
 # ----------------------------------------------------------------- render
@@ -277,25 +353,27 @@ def test_expr_stats_summands_match_rendered_terms():
 def test_render_text_frozen():
     assert render(decompose((4, 3, 1))) == "C4 + C3 + C2*C2"
     assert render(decompose((2,))) == "C2 + 1"
-    assert render(One()) == "1"
-    assert render(Iso(7)) == "C7"
-    assert render(Prod((One(), One()))) == "1"
+    assert render(table(("one",))) == "1"
+    assert render(table(("iso", 7))) == "C7"
+    # One factors drop out of a product; an all-one product prints as 1.
+    assert render(table(("one",), ("split", 0, 0, 0))) == "1 + 1"
 
 
 def test_render_text_distributes_products():
-    expr = Prod((Sum((Iso(2), One())), Iso(3)))
-    assert render(expr, "text") == "C2*C3 + C3"
+    # 1 + (C2 + 1)*C3: the sum under the product is distributed over C3.
+    rows = table(("one",), ("iso", 2), ("iso", 3), ("split", 1, 0, 0), ("split", 0, 3, 2))
+    assert render(rows, "text") == "1 + C2*C3 + C3"
 
 
-def oracle_text(expr) -> str:
-    return " + ".join("*".join(term) or "1" for term in normal_form(expr))
+def oracle_text(rows) -> str:
+    return " + ".join("*".join(term) or "1" for term in normal_form(rows))
 
 
 def test_render_text_matches_normal_form_oracle():
     for a in range(1, 9):
         for b in range(1, 13):
-            expr = decompose(christoffel_diagram(a, b))
-            assert render(expr, "text") == oracle_text(expr)
+            rows = decompose(christoffel_diagram(a, b))
+            assert render(rows, "text") == oracle_text(rows)
 
 
 @st.composite
@@ -311,22 +389,27 @@ def subdiagrams(draw, max_a=8, max_b=12):
 @settings(max_examples=200, deadline=None)
 @given(subdiagrams())
 def test_render_text_matches_normal_form_oracle_on_subdiagrams(mu):
-    expr = decompose(mu)
-    assert render(expr, "text") == oracle_text(expr)
+    rows = decompose(mu)
+    assert render(rows, "text") == oracle_text(rows)
 
 
 @pytest.mark.parametrize(
     "expr, text",
     [
-        (Prod((One(), One())), "1"),
-        (Prod((One(), One(), One())), "1"),
-        (Prod((Iso(2), Iso(3), Iso(4))), "C2*C3*C4"),
-        (Prod((One(), Iso(3), One())), "C3"),
+        (table(("one",)), "1"),
+        (table(("one",), ("iso", 2), ("split", 1, 0, 0)), "C2 + 1"),
+        (table(("one",), ("iso", 3), ("split", 0, 0, 1)), "1 + C3"),
+        (table(("one",), ("iso", 3), ("split", 1, 1, 1)), "C3 + C3*C3"),
         (
-            Prod((Sum((Iso(2), One())), Sum((One(), Iso(3))), Sum((Iso(4), Iso(5))))),
-            "C2*C4 + C2*C5 + C2*C3*C4 + C2*C3*C5 + C4 + C5 + C3*C4 + C3*C5",
+            table(
+                ("iso", 2), ("iso", 3), ("iso", 4), ("iso", 5), ("one",),
+                ("split", 0, 4, 1),  # C2 + C3
+                ("split", 2, 3, 4),  # C4 + C5
+                ("split", 4, 5, 6),  # 1 + (C2 + C3)*(C4 + C5)
+            ),
+            "1 + C2*C4 + C2*C5 + C3*C4 + C3*C5",
         ),
-        (Sum((Prod((One(), One())), Iso(2), One())), "1 + C2 + 1"),
+        (table(("one",), ("iso", 2), ("split", 0, 1, 0), ("split", 2, 0, 0)), "1 + C2 + 1"),
     ],
 )
 def test_render_text_hand_built_products(expr, text):
@@ -334,8 +417,8 @@ def test_render_text_hand_built_products(expr, text):
 
 
 def test_render_json_frozen():
-    assert render(Iso(2), "json") == '{"type":"iso","n":2}'
-    assert render(One(), "json") == '{"type":"one"}'
+    assert render(table(("iso", 2)), "json") == '{"type":"iso","n":2}'
+    assert render(table(("one",)), "json") == '{"type":"one"}'
     assert render(decompose((2,)), "json") == (
         '{"type":"sum","terms":[{"type":"iso","n":2},'
         '{"type":"prod","factors":[{"type":"one"},{"type":"one"}]}]}'
@@ -343,26 +426,38 @@ def test_render_json_frozen():
 
 
 def test_render_json_round_trips_structure():
-    expr = decompose(christoffel_diagram(4, 6))
-    obj = json.loads(render(expr, "json"))
-    assert tree(expr) == obj
+    rows = decompose(christoffel_diagram(4, 6))
+    obj = json.loads(render(rows, "json"))
+    assert tree(rows) == obj
 
-    def rebuild(node):
-        if node["type"] == "one":
-            return One()
-        if node["type"] == "iso":
-            return Iso(node["n"])
-        if node["type"] == "sum":
-            return Sum(tuple(rebuild(t) for t in node["terms"]))
-        return Prod(tuple(rebuild(f) for f in node["factors"]))
+    def rebuild(obj):
+        # One row per distinct subtree, children built lower part first, as
+        # decompose builds the parts of a split.
+        spec, index = [], {}
 
-    assert rebuild(obj) == expr
+        def visit(node):
+            if node["type"] == "sum":
+                first, product = node["terms"]
+                j_node, k_node = product["factors"]
+                k, j, i = visit(k_node), visit(j_node), visit(first)
+                key = ("split", i, j, k)
+            else:
+                key = ("iso", node["n"]) if node["type"] == "iso" else ("one",)
+            if key not in index:
+                index[key] = len(spec)
+                spec.append(key)
+            return index[key]
+
+        visit(obj)
+        return table(*spec)
+
+    assert rebuild(obj) == rows
 
 
-def assert_writer_matches_dumps(expr):
-    obj = tree(expr)
-    assert render(expr, "json") == json.dumps(obj, separators=(",", ":"))
-    assert "".join(json_pieces(expr, sort_keys=True)) == json.dumps(obj, sort_keys=True)
+def assert_writer_matches_dumps(rows):
+    obj = tree(rows)
+    assert render(rows, "json") == json.dumps(obj, separators=(",", ":"))
+    assert "".join(json_pieces(rows, sort_keys=True)) == json.dumps(obj, sort_keys=True)
 
 
 def test_json_writer_matches_dumps_on_christoffel_diagrams():
@@ -377,18 +472,22 @@ def test_json_writer_matches_dumps_on_subdiagrams(mu):
     assert_writer_matches_dumps(decompose(mu))
 
 
-SHARED = Sum((Iso(2), Prod((One(), Iso(3)))))
-OUTER = Sum((SHARED, Prod((SHARED, Iso(4)))))  # SHARED under a Sum and a Prod
+# Row 3 is C2 + 1*C3; row 5, OUTER, has it both under its sum and its product.
+SHARED = (("one",), ("iso", 2), ("iso", 3), ("split", 1, 0, 2))
+OUTER = (*SHARED, ("iso", 4), ("split", 3, 3, 4))
 
 
 @pytest.mark.parametrize(
     "expr",
     [
-        OUTER,
-        Prod((OUTER, Sum((OUTER, SHARED)))),  # a shared node inside a shared node
-        Prod((SHARED, SHARED)),
-        Sum((Prod((SHARED, SHARED)), Prod((SHARED, SHARED)))),
-        Sum((Prod((Iso(2), SHARED, Iso(4))), One(), SHARED)),
+        table(*OUTER),
+        # A shared row inside a shared row: OUTER under the root's product
+        # and under row 6's sum, SHARED inside both.
+        table(*OUTER, ("split", 5, 3, 0), ("split", 3, 5, 6)),
+        table(*SHARED, ("split", 0, 3, 3)),
+        table(*SHARED, ("split", 0, 3, 3), ("split", 4, 3, 3)),
+        # A split, an iso and the one row as the root's three children.
+        table(*SHARED, ("split", 3, 1, 0)),
     ],
     ids=["sum-and-prod", "nested-shared", "prod-x-x", "shared-prod-x-x", "three-children"],
 )
@@ -399,22 +498,24 @@ def test_json_writer_on_hand_built_dags(expr):
 def test_json_writer_writes_a_shared_node_once():
     # The first occurrence is written as its own pieces; the second joins
     # them once, and every later occurrence repeats that very string.
-    pieces = json_pieces(Prod((SHARED, SHARED, SHARED)))
-    own = json_pieces(SHARED)
+    pieces = json_pieces(table(*SHARED, ("split", 3, 3, 3)))
+    own = json_pieces(table(*SHARED))
     text, k = "".join(own), len(own)
-    assert pieces == ['{"type":"prod","factors":[', *own, ",", text, ",", text, "]}"]
+    assert pieces == [
+        '{"type":"sum","terms":[', *own, ',{"type":"prod","factors":[', text, ",", text, "]}]}"
+    ]
     assert pieces[k + 4] is pieces[k + 2]
 
 
 def test_json_writer_walks_a_shared_node_once():
-    x = Iso(2)
-    for _ in range(16):
-        x = Sum((x, x))  # 2**16 leaves, 17 distinct nodes
-    obj = tree(x)
+    levels = 10  # 3**10 leaves, 11 distinct rows
+    rows = table(("iso", 2), *(("split", x, x, x) for x in range(levels)))
+    obj = tree(rows)
     for sort_keys, dumps_args in [(False, {"separators": (",", ":")}), (True, {"sort_keys": True})]:
-        pieces = json_pieces(x, sort_keys=sort_keys)
+        pieces = json_pieces(rows, sort_keys=sort_keys)
         assert "".join(pieces) == json.dumps(obj, **dumps_args)
-        assert len(pieces) <= 4 * 16 + 1
+        # Seven pieces for the lowest split, six more for each one above it.
+        assert len(pieces) == 6 * levels + 1
 
 
 def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
@@ -423,15 +524,15 @@ def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     k, leaf = 100_000, '{"type":"iso","n":3}'
-    expr = Iso(3)
-    for _ in range(k):
-        expr = Sum((expr, One()))
+    rows = table(("one",), ("iso", 3), *(("split", x, 0, 0) for x in range(1, k + 1)))
+    ones = '{"type":"prod","factors":[{"type":"one"},{"type":"one"}]}'
     sorted_leaf = '{"n": 3, "type": "iso"}'
+    sorted_ones = '{"factors": [{"type": "one"}, {"type": "one"}], "type": "prod"}'
     for got, want in [
-        (render(expr, "json"), '{"type":"sum","terms":[' * k + leaf + ',{"type":"one"}]}' * k),
+        (render(rows, "json"), '{"type":"sum","terms":[' * k + leaf + f",{ones}]}}" * k),
         (
-            "".join(json_pieces(expr, sort_keys=True)),
-            '{"terms": [' * k + sorted_leaf + ', {"type": "one"}], "type": "sum"}' * k,
+            "".join(json_pieces(rows, sort_keys=True)),
+            '{"terms": [' * k + sorted_leaf + f', {sorted_ones}], "type": "sum"}}' * k,
         ),
     ]:
         same = got == want  # a plain bool, so pytest does not diff 2 MB strings
@@ -439,8 +540,8 @@ def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
 
 
 def test_text_normal_form_is_linear_on_deep_chain():
-    # 8,000 summands at depth 8,001: a Sum that copied its children's terms
-    # would hold about 32 million of them at once.
+    # 8,000 summands at depth 8,001: a split that copied its first child's
+    # terms would hold about 32 million of them at once.
     tracemalloc.start()
     try:
         text = render(decompose(christoffel_diagram(2, 16000)))
@@ -453,7 +554,7 @@ def test_text_normal_form_is_linear_on_deep_chain():
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
-        render(One(), "xml")
+        render(table(("one",)), "xml")
 
 
 # ------------------------------------------------------------- properties
