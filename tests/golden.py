@@ -13,13 +13,14 @@ text are left out, because their wording differs across Python versions.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from rectcat import cli
 
@@ -94,18 +95,9 @@ def run(argv: list[str]) -> tuple[int, str, str]:
         name, value = argv[0].split("=", 1)
         env[name] = value
         argv = argv[1:]
-    saved = {name: os.environ.get(name) for name in env}
     out, err = io.StringIO(), io.StringIO()
-    os.environ.update(env)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     return code, _digest(out.getvalue()), _digest(err.getvalue())
 
 
@@ -131,7 +123,7 @@ def main(argv: list[str]) -> int:
             fh.writelines(line(a) for a in _argvs())
         return 0
     if argv:
-        print(__doc__.strip().splitlines()[-2].strip(), file=sys.stderr)
+        print("usage: golden.py [--write]", file=sys.stderr)
         return 2
     diff = first_difference()
     print(diff or "golden corpus matches")
