@@ -19,7 +19,6 @@ from .decomposition import (
     expr_stats,
     h_value,
     render,
-    tree,
 )
 from .diagrams import (
     Diagram,
@@ -30,7 +29,6 @@ from .diagrams import (
     count_rect,
     diagram_to_word,
     enumerate_paths,
-    fits_in,
     format_diagram,
     is_valid_word,
     parse_diagram,
@@ -70,7 +68,6 @@ __all__ = [
     "diagram_to_word",
     "enumerate_paths",
     "expr_stats",
-    "fits_in",
     "format_diagram",
     "fuss_catalan",
     "h_value",
@@ -86,6 +83,5 @@ __all__ = [
     "theorem1_count",
     "theorem2_count",
     "through_box_split",
-    "tree",
     "word_to_diagram",
 ]

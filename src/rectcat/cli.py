@@ -198,7 +198,16 @@ def _cmd_decompose(args):
 
 
 def _cmd_enumerate(args):
-    paths = diagrams.enumerate_paths(args.a, args.b, cap=args.limit)
+    # --limit, else RECTCAT_MAX_ENUM, else the default; a bad rectangle is reported first.
+    diagrams.check_rect(args.a, args.b)
+    cap = args.limit
+    if cap is None:
+        env = os.environ.get("RECTCAT_MAX_ENUM", str(diagrams.DEFAULT_ENUM_CAP))
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"RECTCAT_MAX_ENUM must be an integer, got {env!r}") from None
+    paths = diagrams.enumerate_paths(args.a, args.b, cap)
     if args.json:
         items = [{"word": word, "diagram": mu} for word, mu in paths]
         return None, {"a": args.a, "b": args.b, "count": len(paths), "paths": items}, []

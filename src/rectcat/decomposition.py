@@ -27,15 +27,14 @@ fresh memo that lives for one call, or into the caller's ``memo``, which
 lives as long as the caller keeps it.  Nothing is kept between calls
 otherwise.
 
-Every fold here (expr_stats, the text normal form and ``tree``) is one
-forward loop over the rows, and the JSON writer joins a shared row's text
-once, when it meets the row again.  Two printed forms exist: render(rows)
-is the sum-of-products normal form, one term per summand, and
-render(rows, "json") is the expression tree in JSON, each split written as
-a sum of t_i and the product t_j * t_k, written straight from the rows by
-json_pieces, which the CLI also uses for its --json report.  tree(rows) is
-the same tree as plain dicts.  A caller that needs only one of them builds
-only that one.
+Both folds here, expr_stats and the text normal form, are one forward loop
+over the rows, and the JSON writer joins a shared row's text once, when it
+meets the row again.  Two printed forms exist: render(rows) is the
+sum-of-products normal form, one term per summand, and render(rows, "json")
+is the expression tree in JSON, each split written as a sum of t_i and the
+product t_j * t_k, written straight from the rows by json_pieces, which the
+CLI also uses for its --json report.  A caller that needs only one of them
+builds only that one.
 """
 
 from __future__ import annotations
@@ -152,26 +151,11 @@ def _normal_terms(rows) -> list[str]:
     return terms(_fold(rows, [""], lambda n: [f"C{n}"], split))
 
 
-def tree(rows) -> dict:
-    """The expression tree as plain dicts and lists.
-
-    Schema: {"type":"one"} | {"type":"iso","n":N} | {"type":"sum","terms":[...]}
-    | {"type":"prod","factors":[...]}; a split row is the sum of t_i and the
-    product of t_j and t_k.  A shared row becomes one shared dict.
-    """
-    return _fold(
-        rows,
-        {"type": "one"},
-        lambda n: {"type": "iso", "n": n},
-        lambda _, i, j, k: {"type": "sum", "terms": [i, {"type": "prod", "factors": [j, k]}]},
-    )
-
-
 # The JSON text of each row kind in the two styles: one, iso (formatted with
 # n), and the pieces between a split's children: before t_i, between t_i and
 # t_j, between t_j and t_k, and after t_k.  Compact keeps the key order of
-# ``tree``; sorted is what json.dumps(..., sort_keys=True) writes with its
-# default separators.
+# the schema in json_pieces; sorted is what json.dumps(..., sort_keys=True)
+# writes with its default separators.
 _COMPACT = (
     '{"type":"one"}',
     '{"type":"iso","n":%d}',
@@ -185,15 +169,18 @@ _SORTED = (
 
 
 def json_pieces(rows, sort_keys: bool = False) -> list[str]:
-    """The JSON text of ``tree(rows)`` as strings to be written in order.
+    """The expression tree's JSON text as strings to be written in order.
 
-    Joined, the pieces are json.dumps(tree(rows), separators=(",", ":")), or
-    json.dumps(tree(rows), sort_keys=True) when ``sort_keys`` is set.  They
-    are written straight from the rows in one depth-first walk, without
-    recursion, and are only ever appended.  A split row met for the first
-    time is written as its own pieces, and the span they fill is noted; met
-    again, that span is joined into one string, which this and every later
-    occurrence repeat.
+    Schema: {"type":"one"} | {"type":"iso","n":N} | {"type":"sum","terms":[...]}
+    | {"type":"prod","factors":[...]}; a split row is the sum of t_i and the
+    product of t_j and t_k.  Joined, the pieces are that tree as
+    json.dumps(..., separators=(",", ":")) writes it, keys in schema order,
+    or as json.dumps(..., sort_keys=True) writes it when ``sort_keys`` is
+    set.  They are written straight from the rows in one depth-first walk,
+    without recursion, and are only ever appended.  A split row met for the
+    first time is written as its own pieces, and the span they fill is
+    noted; met again, that span is joined into one string, which this and
+    every later occurrence repeat.
     """
     one, iso, (opening, middle, sep, closing) = _SORTED if sort_keys else _COMPACT
     written: dict[int, tuple[int, int] | str] = {}  # row index -> span, then text
@@ -227,8 +214,7 @@ def render(rows, fmt: str = "text") -> str:
 
     "text" flattens to sum-of-products normal form: terms joined by " + ",
     factors by "*", I_n printed as Cn, an all-one product as "1".
-    "json" is the compact JSON text of ``tree(rows)``, joined from
-    ``json_pieces``.
+    "json" is the compact JSON text joined from ``json_pieces``.
     """
     if fmt == "text":
         return " + ".join(term or "1" for term in _normal_terms(rows))

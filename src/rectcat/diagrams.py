@@ -23,14 +23,12 @@ dynamic program over sub-diagrams, exact in arbitrary-precision integers.
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate
 from operator import lt
 
 Diagram = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "RECTCAT_MAX_ENUM"
 
 
 class TooManyPaths(ValueError):
@@ -93,13 +91,6 @@ def christoffel_diagram(a: int, b: int) -> Diagram:
     # r <= a - ceil(a/b): the trailing zero rows are never built.
     top = a + (-a) // b
     return tuple([b * (a - r) // a for r in range(1, top + 1)])
-
-
-def fits_in(a: int, b: int, mu) -> bool:
-    """True iff ``mu`` sits inside the maximal staircase of the rectangle."""
-    mu = as_diagram(mu)
-    bounds = christoffel_diagram(a, b)
-    return len(mu) <= len(bounds) and not any(map(lt, bounds, mu))
 
 
 def _downs(word: str):
@@ -181,29 +172,13 @@ def count_rect(a: int, b: int) -> int:
     return count_paths(christoffel_diagram(a, b))
 
 
-def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{ENUM_CAP_ENV} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_ENUM_CAP
-
-
-def enumerate_paths(a: int, b: int, cap: int | None = None) -> list[tuple[str, Diagram]]:
+def enumerate_paths(a: int, b: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[str, Diagram]]:
     """Every (a,b)-Dyck path as ``(word, diagram)``, words in lexicographic order.
 
     Refuses with TooManyPaths, before building any path, when the count
-    exceeds ``cap`` (default 10**6, overridable via the RECTCAT_MAX_ENUM
-    environment variable).
+    exceeds ``cap``.
     """
     total = count_rect(a, b)
-    cap = _enum_cap(cap)
     if total > cap:
         raise TooManyPaths(total, cap)
     # An odometer over the down-step positions, xs[i] running from xs[i-1] up

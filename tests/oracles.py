@@ -142,6 +142,25 @@ def normal_form(rows, x: int | None = None) -> list[tuple[str, ...]]:
     return [()]
 
 
+def tree(rows, x: int | None = None) -> dict:
+    """Expression tree of row ``x`` of a decomposition table as plain dicts, by plain recursion.
+
+    ``x`` is the last row unless given.  Schema: {"type":"one"} |
+    {"type":"iso","n":N} | {"type":"sum","terms":[...]} |
+    {"type":"prod","factors":[...]}; a split row t_i + t_j * t_k is the sum
+    of t_i and the product of t_j and t_k, keys in that order.  Shared rows
+    are expanded afresh wherever they occur: keep the tables small.
+    """
+    row = rows[len(rows) - 1 if x is None else x]
+    if row[0] == "split":
+        _, _, i, j, k = row
+        product = {"type": "prod", "factors": [tree(rows, j), tree(rows, k)]}
+        return {"type": "sum", "terms": [tree(rows, i), product]}
+    if row[0] == "iso":
+        return {"type": "iso", "n": row[2]}
+    return {"type": "one"}
+
+
 def iso_rows(n: int) -> tuple[int, ...]:
     """Rows of the isosceles staircase I_n = (n-1, ..., 1), bottom-up."""
     if n < 1:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import tree
 from rectcat import bizley, christoffel, cli, comparison, decomposition, diagrams, formulas
 
 
@@ -242,7 +243,7 @@ def decompose_report(mu) -> str:
     summands, leaves, depth = decomposition.expr_stats(expr)
     results = {
         "diagram": list(mu),
-        "expr": decomposition.tree(expr),
+        "expr": tree(expr),
         "text": decomposition.render(expr),
         "value": str(decomposition.h_value(expr)),
         "oracle": str(diagrams.count_paths(mu)),
@@ -263,7 +264,7 @@ def test_decompose_reports_match_render(capsys):
             )
             code, out, _ = run(capsys, "decompose", str(a), str(b), "--format", "json")
             assert code == 0
-            dump = json.dumps(decomposition.tree(decomposition.decompose(mu)), separators=(",", ":"))
+            dump = json.dumps(tree(decomposition.decompose(mu)), separators=(",", ":"))
             assert out.splitlines()[0] == "expr: " + dump
     for rows in ["", "2", "7,6,4,3,1", "5,5,5", "9,1,1,1", "3,2,2,1,1,0"]:
         mu = diagrams.parse_diagram(rows)
@@ -395,6 +396,14 @@ def test_enumerate_env_cap(capsys, monkeypatch):
     assert len(out.splitlines()) == 5
 
 
+def test_enumerate_checks_the_rectangle_before_the_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RECTCAT_MAX_ENUM", "x")
+    bad_rect = "error: rectangle sides must be positive integers, got 0x3\n"
+    assert run(capsys, "enumerate", "0", "3") == (2, "", bad_rect)
+    bad_cap = "error: RECTCAT_MAX_ENUM must be an integer, got 'x'\n"
+    assert run(capsys, "enumerate", "2", "3") == (2, "", bad_cap)
+
+
 # ------------------------------------------------------ verify / identities
 
 
@@ -419,6 +428,17 @@ def test_verify_defaults(capsys):
         "special-row-guard          cells=9       ok",
         "RESULT: PASS (15 checks, 3418 cells)",
     ]
+
+
+def test_verify_ignores_the_enumerate_cap(capsys, monkeypatch):
+    # verify's sweeps enumerate under the library's own cap, whatever the
+    # environment holds for the enumerate command.
+    monkeypatch.delenv("RECTCAT_MAX_ENUM", raising=False)
+    expected = run(capsys, "verify")
+    monkeypatch.setenv("RECTCAT_MAX_ENUM", "1")
+    code, out, err = run(capsys, "verify")
+    assert (code, out, err) == expected
+    assert (code, out.splitlines()[-1]) == (0, "RESULT: PASS (15 checks, 3418 cells)")
 
 
 def test_verify_small_bounds(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iso_rows, max_isosceles_by_scan, normal_form, subdiagrams_by_filter
+from oracles import iso_rows, max_isosceles_by_scan, normal_form, subdiagrams_by_filter, tree
 from rectcat import (
     as_diagram,
     catalan,
@@ -22,7 +22,6 @@ from rectcat import (
     expr_stats,
     h_value,
     render,
-    tree,
 )
 from rectcat import decomposition as decomposition_mod
 from rectcat import verify

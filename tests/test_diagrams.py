@@ -18,7 +18,6 @@ from rectcat import (
     count_rect,
     diagram_to_word,
     enumerate_paths,
-    fits_in,
     format_diagram,
     is_valid_word,
     parse_diagram,
@@ -102,15 +101,6 @@ def test_rect_validation():
         count_rect(3, 0)
 
 
-def test_fits_in():
-    assert fits_in(4, 6, (4, 3, 1))
-    assert fits_in(4, 6, ())
-    assert fits_in(4, 6, (2, 2))
-    assert not fits_in(4, 6, (5, 3, 1))  # row too long
-    assert not fits_in(4, 6, (4, 3, 2))  # top row exceeds floor(6/4)
-    assert not fits_in(2, 2, (1, 1))  # too many rows
-
-
 # ------------------------------------------------------------------ words
 
 
@@ -156,7 +146,7 @@ def test_word_to_diagram_rejects_invalid_path():
 
 
 def test_diagram_to_word_rejects_oversized():
-    # The cases test_fits_in refuses, each with the same message.
+    # A row too long, a top row past floor(6/4), too many rows: one message.
     for a, b, mu in [(4, 6, (5, 3, 1)), (4, 6, (4, 3, 2)), (2, 2, (1, 1))]:
         with pytest.raises(ValueError, match=rf"^diagram \({mu[0]}, .* does not fit the {a}x{b} "):
             diagram_to_word(a, b, mu)
@@ -183,7 +173,6 @@ def test_round_trip_exhaustive():
             seen = set()
             for word, mu in enumerate_paths(a, b):
                 assert mu == word_to_diagram(a, b, word)
-                assert fits_in(a, b, mu)
                 assert mu not in seen
                 seen.add(mu)
                 assert diagram_to_word(a, b, mu) == word
@@ -331,26 +320,20 @@ def test_enumerate_cap():
 
 
 def test_enumerate_cap_env(monkeypatch):
-    monkeypatch.setenv("RECTCAT_MAX_ENUM", "4")
-    with pytest.raises(TooManyPaths):
-        enumerate_paths(3, 3)
-    # explicit cap wins over the environment
-    assert len(enumerate_paths(3, 3, cap=5)) == 5
-    monkeypatch.setenv("RECTCAT_MAX_ENUM", "not-a-number")
-    with pytest.raises(ValueError):
-        enumerate_paths(2, 2)
+    # The cap is an argument only: RECTCAT_MAX_ENUM is the enumerate command's.
+    for value in ["4", "not-a-number"]:
+        monkeypatch.setenv("RECTCAT_MAX_ENUM", value)
+        assert [word for word, _ in enumerate_paths(3, 3)] == words_by_filter(3, 3)
+        assert len(enumerate_paths(3, 3)) == 5
 
 
-def test_rectangle_checked_before_other_inputs(monkeypatch):
+def test_rectangle_checked_before_other_inputs():
     # A bad rectangle is reported ahead of a bad diagram or a bad cap.
-    monkeypatch.setenv("RECTCAT_MAX_ENUM", "x")
     bad_rect = "^rectangle sides must be positive integers, got 0x3$"
     with pytest.raises(ValueError, match=bad_rect):
         diagram_to_word(0, 3, (-1,))
     with pytest.raises(ValueError, match=bad_rect):
-        enumerate_paths(0, 3)
-    with pytest.raises(ValueError, match="^RECTCAT_MAX_ENUM must be an integer, got 'x'$"):
-        enumerate_paths(2, 3)
+        enumerate_paths(0, 3, cap=-1)
 
 
 # ------------------------------------------------------------- properties
