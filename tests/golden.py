@@ -74,6 +74,9 @@ def _argvs():
     yield ["RECTCAT_MAX_ENUM=23", "enumerate", "4", "6", "--json"]
     yield ["RECTCAT_MAX_ENUM=x", "enumerate", "2", "2"]
     yield ["RECTCAT_MAX_ENUM=5", "enumerate", "4", "6", "--limit", "100"]
+    yield ["RECTCAT_MAX_ENUM=x", "enumerate", "0", "3"]
+    yield ["RECTCAT_MAX_ENUM=1", "verify"]
+    yield ["RECTCAT_MAX_ENUM=1", "verify", "--json"]
     yield ["expand", "6", "10"]
     yield ["expand", "8", "14", "--json"]
     yield ["count", "30", "45"]
