@@ -323,8 +323,8 @@ def test_enumerate_cap_env(monkeypatch):
     # The cap is an argument only: RECTCAT_MAX_ENUM is the enumerate command's.
     for value in ["4", "not-a-number"]:
         monkeypatch.setenv("RECTCAT_MAX_ENUM", value)
-        assert [word for word, _ in enumerate_paths(3, 3)] == words_by_filter(3, 3)
-        assert len(enumerate_paths(3, 3)) == 5
+        words = [word for word, _ in enumerate_paths(3, 3)]
+        assert words == words_by_filter(3, 3) and len(words) == 5
 
 
 def test_rectangle_checked_before_other_inputs():
