@@ -169,31 +169,21 @@ def _cmd_decompose(args):
     expr = decomposition.decompose(mu)
     value = decomposition.h_value(expr)
     oracle = diagrams.count_paths(mu)
-    value_text, oracle_text = _digits(value), _digits(oracle)
-    summands, leaves, depth = decomposition.expr_stats(expr)
+    stats = {"value": _digits(value), "oracle": _digits(oracle)}
+    stats.update(zip(("summands", "leaves", "depth"), decomposition.expr_stats(expr)))
     failures = []
     if value != oracle:
-        failures.append(f"decomposition values to {value_text}, oracle {oracle_text}")
+        failures.append(f"decomposition values to {stats['value']}, oracle {stats['oracle']}")
     if args.json:
         results = {
             "diagram": list(mu),
             "expr": _Verbatim(decomposition.json_pieces(expr, sort_keys=True)),
             "text": decomposition.render(expr),
-            "value": value_text,
-            "oracle": oracle_text,
-            "summands": summands,
-            "leaves": leaves,
-            "depth": depth,
+            **stats,
         }
         return None, results, failures
-    lines = [
-        f"expr: {decomposition.render(expr, args.format)}",
-        f"value: {value_text}",
-        f"oracle: {oracle_text}",
-        f"summands: {summands}",
-        f"leaves: {leaves}",
-        f"depth: {depth}",
-    ] + [f"FAIL: {f}" for f in failures]
+    lines = [f"expr: {decomposition.render(expr, args.format)}"]
+    lines += [f"{key}: {v}" for key, v in stats.items()] + [f"FAIL: {f}" for f in failures]
     return lines, None, failures
 
 

@@ -27,14 +27,14 @@ fresh memo that lives for one call, or into the caller's ``memo``, which
 lives as long as the caller keeps it.  Nothing is kept between calls
 otherwise.
 
-Both folds here, expr_stats and the text normal form, are one forward loop
-over the rows, and the JSON writer joins a shared row's text once, when it
-meets the row again.  Two printed forms exist: render(rows) is the
-sum-of-products normal form, one term per summand, and render(rows, "json")
-is the expression tree in JSON, each split written as a sum of t_i and the
+expr_stats is one forward loop over the rows.  The text normal form walks
+sum chains, following t_i down to a leaf and picking up one t_j * t_k per
+step, and expands only the rows the last row reaches.  The JSON writer
+joins a shared row's text once, when it meets the row again.  render(rows)
+is the sum-of-products normal form, one term per summand, and render(rows,
+"json") the expression tree in JSON, each split a sum of t_i and the
 product t_j * t_k, written straight from the rows by json_pieces, which the
-CLI also uses for its --json report.  A caller that needs only one of them
-builds only that one.
+CLI also uses for its --json report.  Each form is built only when asked.
 """
 
 from __future__ import annotations
@@ -96,59 +96,46 @@ def h_value(rows) -> int:
     return rows[-1][1]
 
 
-def _fold(rows, one, iso, split):
-    """The last row's fold, in one forward loop: ``one``, iso(n), split(x, f_i, f_j, f_k)."""
-    done = []
-    for x, row in enumerate(rows):
-        if row[0] == "split":
-            _, _, i, j, k = row
-            done.append(split(x, done[i], done[j], done[k]))
-        else:
-            done.append(iso(row[2]) if row[0] == "iso" else one)
-    return done[-1]
-
-
 def expr_stats(rows) -> tuple[int, int, int]:
     """(summands in sum-of-products normal form, leaf count, tree depth)."""
-    return _fold(
-        rows,
-        (1, 1, 1),
-        lambda n: (1, 1, 1),
-        lambda _, i, j, k: (
-            i[0] + j[0] * k[0],
-            i[1] + j[1] + k[1],
-            max(1 + i[2], 2 + j[2], 2 + k[2]),
-        ),
-    )
+    stats = []
+    for row in rows:
+        if row[0] == "split":
+            (si, li, di), (sj, lj, dj), (sk, lk, dk) = stats[row[2]], stats[row[3]], stats[row[4]]
+            stats.append((si + sj * sk, li + lj + lk, max(1 + di, 2 + dj, 2 + dk)))
+        else:
+            stats.append((1, 1, 1))
+    return stats[-1]
 
 
 def _normal_terms(rows) -> list[str]:
     # Distribute products over sums; a term is its iso labels joined by "*",
-    # "" the empty product, construction order kept.  Split row x's value is
-    # (x, t_i's value, the terms of t_j * t_k): a rope, so a split copies no
-    # terms of t_i.  A rope is flattened once, when a product or the root
-    # first needs its terms, and kept by row index.
+    # "" the empty product, construction order kept: a row's terms are the
+    # leaf's at the end of its t_i chain, then each split's t_j * t_k terms
+    # from the leaf back up.  Only the last row and the factors it reaches get
+    # a term list, in row order, so a factor's own factors have theirs first.
+    root = len(rows) - 1
+    reached, factors = [False] * root + [True], set()
+    for x in range(root, -1, -1):
+        if reached[x] and rows[x][0] == "split":
+            for y in rows[x][2:]:
+                reached[y] = True
+            factors.update(rows[x][3:])
     flat: dict[int, list[str]] = {}
-
-    def terms(value) -> list[str]:
-        if isinstance(value, list):
-            return value
-        if value[0] not in flat:
-            found, stack = [], [value]
-            while stack:
-                part = stack.pop()
-                if isinstance(part, list):
-                    found += part
-                else:
-                    stack += (part[2], part[1])
-            flat[value[0]] = found
-        return flat[value[0]]
-
-    def split(x, i, j, k):
-        # "" drops out of a product with anything; t_j outermost.
-        return x, i, [f"{s}*{t}" if s and t else s or t for s in terms(j) for t in terms(k)]
-
-    return terms(_fold(rows, [""], lambda n: [f"C{n}"], split))
+    for top in sorted(factors) + [root]:
+        chain, x = [], top
+        while x not in flat and rows[x][0] == "split":
+            chain.append(rows[x])
+            x = rows[x][2]
+        if x in flat:
+            terms = list(flat[x])
+        else:  # a leaf
+            terms = [f"C{rows[x][2]}" if rows[x][0] == "iso" else ""]
+        for _, _, _, j, k in reversed(chain):
+            # "" drops out of a product with anything; t_j outermost.
+            terms += [f"{s}*{t}" if s and t else s or t for s in flat[j] for t in flat[k]]
+        flat[top] = terms
+    return flat[root]
 
 
 # The JSON text of each row kind in the two styles: one, iso (formatted with

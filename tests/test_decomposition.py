@@ -551,6 +551,33 @@ def test_text_normal_form_is_linear_on_deep_chain():
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
 
 
+def test_render_of_a_memo_prefix_expands_only_its_own_rows():
+    # The 18x27 rows stay in the prefix that (1,) * 200 returns; expanding
+    # the normal forms of their factors too takes about 31 MiB.
+    memo = {}
+    decompose(christoffel_diagram(18, 27), memo)
+    tracemalloc.start()
+    try:
+        text = render(decompose((1,) * 200, memo))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == render(decompose((1,) * 200))
+    assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_memo_prefixes_render_and_count_as_fresh_tables():
+    # verify's decomposition sweep over every diagram up to 5x7, through one
+    # memo: each prefix also holds the rows of the diagrams before it.
+    memo = {}
+    for a in range(1, 6):
+        for b in range(1, 8):
+            for _, mu in enumerate_paths(a, b):
+                rows, fresh = decompose(mu, memo), decompose(mu)
+                assert render(rows) == render(fresh), mu
+                assert expr_stats(rows) == expr_stats(fresh), mu
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render(table(("one",)), "xml")
