@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         lines, results, failures = args.handler(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as err:

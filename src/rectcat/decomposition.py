@@ -27,9 +27,10 @@ fresh memo that lives for one call, or into the caller's ``memo``, which
 lives as long as the caller keeps it.  Nothing is kept between calls
 otherwise.
 
-expr_stats is one forward loop over the rows.  The text normal form walks
-sum chains, following t_i down to a leaf and picking up one t_j * t_k per
-step, and expands only the rows the last row reaches.  The JSON writer
+expr_stats is one forward loop over the rows.  The text normal form counts
+the references to each row the last row reaches, backward, then expands
+only those rows in one forward loop, moving t_i's terms into a row that is
+their one reference.  The JSON writer takes its text from json.dumps and
 joins a shared row's text once, when it meets the row again.  render(rows)
 is the sum-of-products normal form, one term per summand, and render(rows,
 "json") the expression tree in JSON, each split a sum of t_i and the
@@ -38,6 +39,8 @@ CLI also uses for its --json report.  Each form is built only when asked.
 """
 
 from __future__ import annotations
+
+import json
 
 from .comparison import _through_box_split
 from .diagrams import Diagram, as_diagram
@@ -110,49 +113,29 @@ def expr_stats(rows) -> tuple[int, int, int]:
 
 def _normal_terms(rows) -> list[str]:
     # Distribute products over sums; a term is its iso labels joined by "*",
-    # "" the empty product, construction order kept: a row's terms are the
-    # leaf's at the end of its t_i chain, then each split's t_j * t_k terms
-    # from the leaf back up.  Only the last row and the factors it reaches get
-    # a term list, in row order, so a factor's own factors have theirs first.
-    root = len(rows) - 1
-    reached, factors = [False] * root + [True], set()
-    for x in range(root, -1, -1):
-        if reached[x] and rows[x][0] == "split":
+    # "" the empty product, construction order kept: a split's terms are
+    # t_i's, then the t_j * t_k products.  refs counts the references to each
+    # row from rows the last row reaches, so an unreached row keeps 0 and gets
+    # no term list.  Forward, t_i's list is moved into its parent when that
+    # parent is its one reference, and copied otherwise.
+    refs = [0] * (len(rows) - 1) + [1]
+    for x in range(len(rows) - 1, -1, -1):
+        if refs[x] and rows[x][0] == "split":
             for y in rows[x][2:]:
-                reached[y] = True
-            factors.update(rows[x][3:])
+                refs[y] += 1
     flat: dict[int, list[str]] = {}
-    for top in sorted(factors) + [root]:
-        chain, x = [], top
-        while x not in flat and rows[x][0] == "split":
-            chain.append(rows[x])
-            x = rows[x][2]
-        if x in flat:
-            terms = list(flat[x])
-        else:  # a leaf
-            terms = [f"C{rows[x][2]}" if rows[x][0] == "iso" else ""]
-        for _, _, _, j, k in reversed(chain):
-            # "" drops out of a product with anything; t_j outermost.
-            terms += [f"{s}*{t}" if s and t else s or t for s in flat[j] for t in flat[k]]
-        flat[top] = terms
-    return flat[root]
-
-
-# The JSON text of each row kind in the two styles: one, iso (formatted with
-# n), and the pieces between a split's children: before t_i, between t_i and
-# t_j, between t_j and t_k, and after t_k.  Compact keeps the key order of
-# the schema in json_pieces; sorted is what json.dumps(..., sort_keys=True)
-# writes with its default separators.
-_COMPACT = (
-    '{"type":"one"}',
-    '{"type":"iso","n":%d}',
-    ('{"type":"sum","terms":[', ',{"type":"prod","factors":[', ",", "]}]}"),
-)
-_SORTED = (
-    '{"type": "one"}',
-    '{"n": %d, "type": "iso"}',
-    ('{"terms": [', ', {"factors": [', ", ", '], "type": "prod"}], "type": "sum"}'),
-)
+    for x, row in enumerate(rows):
+        if not refs[x]:
+            continue
+        if row[0] != "split":
+            flat[x] = [f"C{row[2]}" if row[0] == "iso" else ""]
+            continue
+        _, _, i, j, k = row
+        terms = flat.pop(i) if refs[i] == 1 else list(flat[i])
+        # "" drops out of a product with anything; t_j outermost.
+        terms += [f"{s}*{t}" if s and t else s or t for s in flat[j] for t in flat[k]]
+        flat[x] = terms
+    return flat[len(rows) - 1]
 
 
 def json_pieces(rows, sort_keys: bool = False) -> list[str]:
@@ -169,7 +152,14 @@ def json_pieces(rows, sort_keys: bool = False) -> list[str]:
     noted; met again, that span is joined into one string, which this and
     every later occurrence repeat.
     """
-    one, iso, (opening, middle, sep, closing) = _SORTED if sort_keys else _COMPACT
+    style = {"sort_keys": True} if sort_keys else {"separators": (",", ":")}
+    # One skeleton node of each kind, cut where an iso's n or a split's
+    # children go: before t_i, between t_i and t_j, t_j and t_k, after t_k.
+    (one,), iso, (opening, middle, sep, closing) = (
+        json.dumps(node, **style).split("null")
+        for node in ({"type": "one"}, {"type": "iso", "n": None},
+                     {"type": "sum", "terms": [None, {"type": "prod", "factors": [None, None]}]})
+    )
     written: dict[int, tuple[int, int] | str] = {}  # row index -> span, then text
     out: list[str] = []
     # Items are row indices to write, text to copy, or (start, row index)
@@ -192,7 +182,7 @@ def json_pieces(rows, sort_keys: bool = False) -> list[str]:
             stack += ((len(out), item), closing, k, sep, j, middle, i)
             out.append(opening)
         else:
-            out.append(iso % rows[item][2] if rows[item][0] == "iso" else one)
+            out.append(f"{iso[0]}{rows[item][2]}{iso[1]}" if rows[item][0] == "iso" else one)
     return out
 
 

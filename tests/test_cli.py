@@ -133,6 +133,21 @@ def test_count_cross_check_catches_bad_formula(
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "2", "100000000000000000000000", "--method", "oracle"],
+        ["enumerate", "1", "100000000000000000000"],
+    ],
+    ids=["count", "enumerate"],
+)
+def test_size_past_an_index_is_a_usage_error(capsys, argv):
+    # Python cannot index this far: a domain error, not a failed cross-check.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_count_bizley_fault_is_an_internal_error(capsys, monkeypatch):
     phi = bizley.phi
     monkeypatch.setattr(bizley, "phi", lambda a, b, j: phi(a, b, j) + 1)
