@@ -85,6 +85,8 @@ def _argvs():
     yield ["count", "6", "9", "--check-bound", "0", "--json"]
     yield ["formula", "coprime", "10001", "15002"]
     yield ["formula", "prime", "4", "6"]
+    yield ["count", "2", "100000000000000000000000", "--method", "oracle"]
+    yield ["enumerate", "1", "100000000000000000000"]
 
 
 def _digest(text: str) -> str:
