@@ -1,4 +1,5 @@
-"""Every CLI run pinned in tests/golden_cli.tsv still gives its exit code and output."""
+"""tests/golden_cli.tsv pins exactly the argvs golden.py generates, and each run
+still gives its exit code and output."""
 
 import json
 
