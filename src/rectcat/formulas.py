@@ -1,11 +1,9 @@
 """Closed-form counting expressions, evaluated in exact integer arithmetic.
 
 Every divided binomial here is exact; the division helpers check the
-remainder at runtime and abort loudly rather than round.  ballot_value and
-avoidance_value evaluate their printed expressions verbatim: the path models
-behind those expressions vary between conventions, so neither is tied to the
-rectangle counters (ballot_brute gives an explicit counter for one natural
-convention, and it is allowed to disagree with ballot_value).
+remainder at runtime and abort loudly rather than round.  ballot_value prints
+(b - ka + 1)/b * C(a + b, a) verbatim, which is no path count; ballot_brute
+counts the paths weakly above y = kx by (b - ka + 1)/(b + 1) * C(a + b, a).
 """
 
 from __future__ import annotations
@@ -89,15 +87,21 @@ def ballot_value(a: int, b: int, k: int) -> Fraction:
 
 
 def avoidance_value(n: int, k: int) -> int:
-    """C(2(k+1)n, 2n) - (k-1) * sum_{i<2n} C(2(k+1)n, i), evaluated verbatim."""
+    """C(2(k+1)n, 2n) - (k-1) * sum_{i<2n} C(2(k+1)n, i), evaluated verbatim.
+
+    It counts the east/north walks of 2(k+1)n steps, any endpoint, never below y = k*x.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     length = 2 * (k + 1) * n
-    value = binomial(length, 2 * n) - (k - 1) * sum(
-        binomial(length, i) for i in range(2 * n)
-    )
+    # term runs through C(length, i) and ends on C(length, 2n); below sums the rest.
+    term, below = 1, 0
+    for i in range(2 * n):
+        below += term
+        term = _exact_div(term * (length - i), i + 1, "avoidance_value({},{})", n, k)
+    value = term - (k - 1) * below
     if k >= 1 and value < 0:
         raise ArithmeticError(f"avoidance_value({n},{k}) came out negative: {value}")
     return value
@@ -106,18 +110,12 @@ def avoidance_value(n: int, k: int) -> int:
 def ballot_brute(a: int, b: int, k: int) -> int:
     """Monotone paths (0,0) -> (a,b) whose every lattice point obeys y >= k*x.
 
-    A direct dynamic program, deliberately independent of ballot_value; the
-    two need not agree (for a=1, b=2, k=1 this counts 2 where the expression
-    gives 3).
+    The weak ballot number (b - ka + 1)/(b + 1) * C(a + b, a), 0 below the line
+    (Mohanty 1979); for a=1, b=2, k=1 it counts 2 where ballot_value gives 3.
     """
     if a < 0 or b < 0 or k < 0:
         raise ValueError(f"arguments must be nonnegative, got {a}, {b}, {k}")
-    # row[y] counts the paths to (x, y), one column x at a time; column 0 is one each.
-    row = [1] * (b + 1)
-    for x in range(1, a + 1):
-        for y in range(b + 1):
-            if y < k * x:
-                row[y] = 0
-            elif y:
-                row[y] += row[y - 1]
-    return row[b]
+    if b < k * a:
+        return 0
+    dividend = (b - k * a + 1) * binomial(a + b, a)
+    return _exact_div(dividend, b + 1, "ballot_brute({},{},{})", a, b, k)

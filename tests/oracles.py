@@ -65,6 +65,38 @@ def ballot_by_filter(a: int, b: int, k: int) -> int:
     return hits
 
 
+def ballot_by_dp(a: int, b: int, k: int) -> int:
+    """The same count as ballot_by_filter, by a column-by-column dynamic program.
+
+    O(ab) additions, so it reaches the widths a full walk filter cannot.
+    """
+    # row[y] counts the paths to (x, y), one column x at a time; column 0 is one each.
+    row = [1] * (b + 1)
+    for x in range(1, a + 1):
+        for y in range(b + 1):
+            if y < k * x:
+                row[y] = 0
+            elif y:
+                row[y] += row[y - 1]
+    return row[b]
+
+
+def avoidance_by_binomials(n: int, k: int) -> int:
+    """C(2(k+1)n, 2n) - (k-1) * sum_{i<2n} C(2(k+1)n, i), one comb call per binomial."""
+    length = 2 * (k + 1) * n
+    return comb(length, 2 * n) - (k - 1) * sum(comb(length, i) for i in range(2 * n))
+
+
+def avoidance_by_filter(n: int, k: int) -> int:
+    """Walks of 2(k+1)n unit east and north steps from the origin never below y = k*x.
+
+    Every endpoint (a, length - a) of such a walk, each filtered by
+    ballot_by_filter: 2^length walks in all, so keep length small.
+    """
+    length = 2 * (k + 1) * n
+    return sum(ballot_by_filter(a, length - a, k) for a in range(length + 1))
+
+
 def subdiagrams_by_filter(mu) -> list[tuple[int, ...]]:
     """All weakly decreasing row fillings bounded row-wise by ``mu``.
 

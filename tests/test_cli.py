@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -146,6 +147,18 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["formula", "ballot-brute", "100", "1000000", "3"], ["formula", "avoidance", "5000", "3"]],
+)
+def test_formula_closed_forms_answer_large_arguments_in_time(capsys, argv):
+    # an O(ab) table of ballot counts or 2n separate binomials would take tens of seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and re.fullmatch(r"\d+\n", out)
 
 
 def test_count_bizley_fault_is_an_internal_error(capsys, monkeypatch):

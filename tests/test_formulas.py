@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ballot_by_filter, count_by_filter
+from oracles import (
+    avoidance_by_binomials,
+    avoidance_by_filter,
+    ballot_by_dp,
+    ballot_by_filter,
+    count_by_filter,
+)
 from rectcat import (
     avoidance_value,
     ballot_brute,
@@ -196,6 +202,25 @@ def test_avoidance_value_k0_is_power_of_four():
         assert avoidance_value(n, 0) == 4**n
 
 
+def test_avoidance_value_matches_one_comb_per_binomial():
+    # n <= 24, k <= 12 takes in the corpus's `formula avoidance 6 9`
+    for n in range(1, 25):
+        for k in range(13):
+            assert avoidance_value(n, k) == avoidance_by_binomials(n, k), (n, k)
+
+
+def test_avoidance_value_counts_walks_above_the_line():
+    # walks of 2(k+1)n steps never below y = k*x: n = 1 gives 2k + 4, k = 0 all 4^n
+    for n, k in [(n, k) for n in range(1, 9) for k in range(8) if 2 * (k + 1) * n <= 16]:
+        assert avoidance_value(n, k) == avoidance_by_filter(n, k), (n, k)
+    # past the filter's reach, the same walks summed endpoint by endpoint
+    for n in range(1, 6):
+        for k in range(6):
+            length = 2 * (k + 1) * n
+            walks = sum(ballot_by_dp(a, length - a, k) for a in range(length + 1))
+            assert avoidance_value(n, k) == walks, (n, k)
+
+
 def test_avoidance_value_domain():
     with pytest.raises(ValueError):
         avoidance_value(0, 1)
@@ -237,3 +262,23 @@ def test_ballot_brute_matches_a_path_filter():
         for b in range(13):
             for k in range(4):
                 assert ballot_brute(a, b, k) == ballot_by_filter(a, b, k), (a, b, k)
+
+
+def test_ballot_brute_matches_the_dp_on_a_grid():
+    # the walk filter enumerates C(a + b, a) walks and cannot reach b = 44
+    for a in range(10):
+        for k in range(5):
+            for b in range(45):
+                assert ballot_brute(a, b, k) == ballot_by_dp(a, b, k), (a, b, k)
+
+
+def test_ballot_forms_differ_by_b_plus_one_over_b():
+    # ballot_value divides by b where the path count divides by b + 1, so
+    # ballot_value = (b + 1)/b * ballot_brute.  As b and b + 1 are coprime it
+    # is an integer only when b divides ballot_brute: on 302 of these 352 cells
+    # it is not, so ballot_value counts nothing there.
+    cells = [(a, b, k) for a in range(1, 9) for k in range(4) for b in range(k * a + 1, k * a + 12)]
+    assert len(cells) == 352
+    for a, b, k in cells:
+        assert ballot_value(a, b, k) * b == ballot_brute(a, b, k) * (b + 1), (a, b, k)
+    assert sum(ballot_value(a, b, k).denominator != 1 for a, b, k in cells) == 302
