@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .formulas import binomial
+from .formulas import _exact_div, binomial
 
 Partition = tuple[int, ...]
 
@@ -69,18 +69,12 @@ def bizley_count(m: int, n: int) -> int:
         raise ValueError(f"sides must be positive, got {m}x{n}")
     d = gcd(m, n)
     a, b = m // d, n // d
-    # The values are left out of the messages: they can run to more digits
-    # than int-to-str conversion allows.
     w = [0]
     for j in range(1, d + 1):
         wj = j * (a + b) * phi(a, b, j)
-        if wj.denominator != 1:
-            raise ArithmeticError(f"bizley weight w_{j} for {m}x{n} is not an integer")
-        w.append(wj.numerator)
+        w.append(_exact_div(wj.numerator, wj.denominator, "bizley weight w_{} for {}x{}", j, m, n))
     f = [1]
     for k in range(1, d + 1):
-        fk, rem = divmod(sum(w[j] * f[k - j] for j in range(1, k + 1)), k * (a + b))
-        if rem:
-            raise ArithmeticError(f"bizley recurrence for {m}x{n} is not integral at k = {k}")
-        f.append(fk)
+        total = sum(w[j] * f[k - j] for j in range(1, k + 1))
+        f.append(_exact_div(total, k * (a + b), "bizley recurrence for {}x{} at k = {}", m, n, k))
     return f[d]

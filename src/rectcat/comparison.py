@@ -16,6 +16,7 @@ from __future__ import annotations
 from math import perm
 
 from .diagrams import Diagram, as_diagram
+from .formulas import _exact_div
 
 Rect = tuple[int, int]
 TermList = list[tuple[Rect, Rect]]
@@ -96,10 +97,8 @@ def _factor_table(a: int, s: int, c: int) -> list[int]:
     for t in range(1, a):
         m = min(s, t)
         num = table[t] * perm(s * t + c + s - 1, m)
-        factor, rem = divmod(num, (t + 1) * perm((s - 1) * t + c + m - 1, m - 1))
-        if rem:  # the values run to hundreds of digits, so none is printed
-            raise ArithmeticError(f"theorem factor F({t + 1}) for s = {s}, c = {c} is not integral")
-        table.append(factor)
+        den = (t + 1) * perm((s - 1) * t + c + m - 1, m - 1)
+        table.append(_exact_div(num, den, "theorem factor F({}) for s = {}, c = {}", t + 1, s, c))
     return table
 
 

@@ -1,7 +1,7 @@
 """Closed-form counting expressions, evaluated in exact integer arithmetic.
 
-Every divided binomial here is exact; the division helpers check the
-remainder at runtime and abort loudly rather than round.  ballot_value prints
+Every divided binomial here is exact: _exact_div, the package's one exact
+division helper, raises ArithmeticError rather than round.  ballot_value prints
 (b - ka + 1)/b * C(a + b, a) verbatim, which is no path count; ballot_brute
 counts the paths weakly above y = kx by (b - ka + 1)/(b + 1) * C(a + b, a).
 """
@@ -9,7 +9,7 @@ counts the paths weakly above y = kx by (b - ka + 1)/(b + 1) * C(a + b, a).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 
 def binomial(n: int, k: int) -> int:
@@ -52,8 +52,33 @@ def coprime_catalan(a: int, b: int) -> int:
     return _exact_div(binomial(a + b, a), a + b, "coprime_catalan({},{})", a, b)
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base above (Sorenson & Webster, Math. Comp. 86, 2017).
+_PSI13 = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+    """Strong-probable-prime test to _BASES, exact for p < _PSI13; larger p raise ValueError."""
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    if p < 41 * 41:  # no prime factor up to 41 leaves no factor at all
+        return p > 1
+    if p >= _PSI13:
+        raise ValueError(f"height must be below {_PSI13}, where the prime test is exact")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for q in _BASES:
+        x = pow(q, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_rect(p: int, b: int) -> int:
@@ -103,7 +128,7 @@ def avoidance_value(n: int, k: int) -> int:
         term = _exact_div(term * (length - i), i + 1, "avoidance_value({},{})", n, k)
     value = term - (k - 1) * below
     if k >= 1 and value < 0:
-        raise ArithmeticError(f"avoidance_value({n},{k}) came out negative: {value}")
+        raise ArithmeticError(f"avoidance_value({n},{k}) came out negative")
     return value
 
 

@@ -151,10 +151,15 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["formula", "ballot-brute", "100", "1000000", "3"], ["formula", "avoidance", "5000", "3"]],
+    [
+        ["formula", "ballot-brute", "100", "1000000", "3"],
+        ["formula", "avoidance", "5000", "3"],
+        ["formula", "prime", "1000000000000000009", "3"],
+    ],
 )
 def test_formula_closed_forms_answer_large_arguments_in_time(capsys, argv):
-    # an O(ab) table of ballot counts or 2n separate binomials would take tens of seconds
+    # an O(ab) table of ballot counts, 2n separate binomials or trial division up to
+    # the square root of a prime height would take tens of seconds or more
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -182,6 +187,21 @@ def test_inexact_division_past_the_digit_limit_is_an_internal_error(capsys, monk
         assert (code, out) == (3, "")
         assert err.startswith(f"internal check failed: {call}")
         assert not re.search(r"\d{21}", err)
+
+
+def test_negative_avoidance_value_is_an_internal_error(capsys, monkeypatch):
+    # The last running binomial, C(30000, 10000), comes out 0, so the value is minus twice
+    # the sum below it: thousands of digits, more than str() converts.
+    exact_div = formulas._exact_div
+
+    def last_term_zero(num, den, *what):
+        return 0 if den == 10000 else exact_div(num, den, *what)
+
+    monkeypatch.setattr(formulas, "_exact_div", last_term_zero)
+    code, out, err = run(capsys, "formula", "avoidance", "5000", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: avoidance_value(5000,3)")
+    assert not re.search(r"\d{21}", err)
 
 
 # -------------------------------------------------------------- christoffel

@@ -167,6 +167,18 @@ def test_is_prime_matches_a_sieve():
         if sieve[p]:
             sieve[p * p :: p] = [False] * len(range(p * p, top, p))
     assert [p for p in range(-3, top) if _is_prime(p)] == [p for p in range(top) if sieve[p]]
+    # psi_1 ... psi_12: the least strong pseudoprimes to the first 1 ... 12 prime bases
+    # (OEIS A014233), all composite; then two primes far past trial division's reach.
+    psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    psi += [341550071728321] * 2 + [3825123056546413051] * 3 + [318665857834031151167461]
+    assert not any(map(_is_prime, psi))
+    assert _is_prime(10**14 + 31) and _is_prime(10**18 + 9)
+    # Past psi_13 a factor among the bases still answers, and only a height without one
+    # is refused: the test would no longer be exact.
+    assert not _is_prime(10**30) and not _is_prime(41 * (10**30 + 57))
+    for p in (3317044064679887385961981, 10**30 + 57):
+        with pytest.raises(ValueError, match=r"^height must be below \d+, where the prime test is"):
+            _is_prime(p)
 
 
 # ------------------------------------------------- ballot-style expressions
