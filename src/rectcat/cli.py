@@ -8,8 +8,10 @@ no reader has to round-trip big integers through floats.
 
 A handler returns (text lines, JSON results, failures).  decompose and
 enumerate build only the form that --json selects and leave the other None.
-A result value may be JSON text already written, which main copies into the
-report as it stands.
+The text lines may be any iterable, and main writes each as it comes.  A
+result value may be JSON text already written, in pieces that may come from
+a generator, which main copies into the report as it stands.  A handler
+raises every error before it returns, so a refusal writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from decimal import Decimal
 from math import gcd
 
@@ -38,7 +42,7 @@ _SPLICE = "\0"
 class _Verbatim:
     """A report value given as JSON text already written, in pieces."""
 
-    def __init__(self, pieces: list[str]):
+    def __init__(self, pieces: Iterable[str]):
         self.pieces = pieces
 
 
@@ -197,12 +201,17 @@ def _cmd_enumerate(args):
             cap = int(env)
         except ValueError:
             raise ValueError(f"RECTCAT_MAX_ENUM must be an integer, got {env!r}") from None
-    paths = diagrams.enumerate_paths(args.a, args.b, cap)
-    if args.json:
-        items = [{"word": word, "diagram": mu} for word, mu in paths]
-        return None, {"a": args.a, "b": args.b, "count": len(paths), "paths": items}, []
-    # enumerate_paths hands out valid diagrams, so no format_diagram re-check.
-    return [f"{word} {','.join(map(str, mu))}".rstrip() for word, mu in paths], None, []
+    # Every refusal comes from this call, before main writes anything.
+    paths = diagrams.enumerate_paths(args.a, args.b, cap, sep=", " if args.json else ",")
+    if not args.json:
+        return (f"{word} {mu}" if mu else word for word, mu in paths), None, []
+    # Each item leads with the ", " that json.dumps puts between list items,
+    # and the first item drops it.  The count sorts before the paths, so it
+    # is counted here rather than while they are written.
+    items = (f', {{"diagram": [{mu}], "word": "{word}"}}' for word, mu in paths)
+    pieces = itertools.chain(["[", next(items)[2:]], items, ["]"])
+    count = diagrams.count_rect(args.a, args.b)
+    return None, {"a": args.a, "b": args.b, "count": count, "paths": _Verbatim(pieces)}, []
 
 
 def _report_checks(checks):
@@ -404,7 +413,8 @@ def _print_report(report) -> None:
     """Print json.dumps(report, sort_keys=True).
 
     The pieces of each _Verbatim value go to stdout one by one, so no joined
-    copy of them is ever made.
+    copy of them is ever made, and pieces from a generator are made as they
+    are written.
     """
     spliced = []
 
@@ -441,8 +451,9 @@ def main(argv: list[str] | None = None) -> int:
             }
             _print_report(report)
         else:
+            write = sys.stdout.write
             for line in lines:
-                print(line)
+                write(f"{line}\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early.  Python flushes stdout again at exit, so point

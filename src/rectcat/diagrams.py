@@ -19,10 +19,17 @@ diagram belongs to some (a,b)-path exactly when it fits inside the staircase.
 
 count_paths is the counting oracle for the whole package: a row-by-row
 dynamic program over sub-diagrams, exact in arbitrary-precision integers.
+
+enumerate_paths streams every path from one odometer over xs.  Each step
+raises one down step i to v and pulls the later ones up to v, so each word
+and each diagram is spliced from the one before: the diagram is v repeated
+a - i times, bottom row first, followed by the rows above step i, kept as
+they were.  The diagram comes as a tuple or, for a writer, as its rows' text.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate
 from operator import lt
 
@@ -103,11 +110,6 @@ def _word(b: int, xs) -> str:
     return "0".join("1" * (x - prev) for prev, x in zip([0, *xs], [*xs, b]))
 
 
-def _diagram(xs) -> Diagram:
-    """Diagram of admissible ``xs``: xs[:0:-1] less the zeros xs starts with."""
-    return tuple(xs[: xs.count(0) - 1 : -1])
-
-
 def is_valid_word(a: int, b: int, word: str) -> bool:
     """True iff ``word`` stays weakly below the (a,b)-diagonal.
 
@@ -133,7 +135,8 @@ def word_to_diagram(a: int, b: int, word: str) -> Diagram:
     """
     if not is_valid_word(a, b, word):
         raise ValueError(f"word {word!r} leaves the {a}x{b} staircase region")
-    return _diagram(list(_downs(word)))
+    xs = list(_downs(word))
+    return tuple(xs[: xs.count(0) - 1 : -1])  # xs[:0:-1] less the zeros xs starts with
 
 
 def diagram_to_word(a: int, b: int, mu) -> str:
@@ -172,32 +175,51 @@ def count_rect(a: int, b: int) -> int:
     return count_paths(christoffel_diagram(a, b))
 
 
-def enumerate_paths(a: int, b: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[str, Diagram]]:
+def enumerate_paths(
+    a: int, b: int, cap: int = DEFAULT_ENUM_CAP, sep: str | None = None
+) -> Iterator[tuple[str, Diagram | str]]:
     """Every (a,b)-Dyck path as ``(word, diagram)``, words in lexicographic order.
 
-    Refuses with TooManyPaths, before building any path, when the count
-    exceeds ``cap``.
+    Returns an iterator.  The call itself refuses: with TooManyPaths when the
+    count exceeds ``cap``, and with OverflowError when the word is longer than
+    Python can index.  With ``sep`` a string, each diagram comes as its rows'
+    decimal text joined by ``sep`` (the empty diagram as "") instead of a tuple.
     """
     total = count_rect(a, b)
     if total > cap:
         raise TooManyPaths(total, cap)
+    # The first word is built here, so a size Python cannot index raises now.
+    return _walk(a, b, "0" * a + "1" * b, sep)
+
+
+def _walk(a: int, b: int, word: str, sep: str | None):
     # An odometer over the down-step positions, xs[i] running from xs[i-1] up
     # to b*i // a: advance the last position below its bound to v and pull
-    # every later one up to v, the least each may take.  The word is spliced
-    # from the one before: it keeps everything up to down step i-1, which
-    # sits at xs[i-1] + i - 1, then runs right to v, steps down a - i times
-    # and runs right to b.
+    # every later one up to v, the least each may take.  Word and diagram are
+    # both spliced from the ones before.  The word keeps everything up to down
+    # step i-1, which sits at xs[i-1] + i - 1, then runs right to v, steps down
+    # a - i times and runs right to b.  The diagram, bottom row first, is v
+    # repeated a - i times followed by the rows above down step i, which it
+    # keeps: they are the last kept[i] items of the one before.  A row is
+    # (v,) in a tuple, or the characters of sep + str(v) in text, which then
+    # drops its first sep.  Zero rows are never written, so none trail.
     bounds = [b * i // a for i in range(a)]
     xs = [0] * a
-    word = "0" * a + "1" * b
-    paths = []
+    kept = [0] * a
+    rows = () if sep is None else ""
+    lead = 0 if sep is None else len(sep)
     while True:
-        paths.append((word, _diagram(xs)))
+        yield word, rows[lead:]
         i = a - 1
         while i and xs[i] == bounds[i]:
             i -= 1
         if not i:
-            return paths
-        v = xs[i] + 1
-        word = word[: xs[i - 1] + i] + "1" * (v - xs[i - 1]) + "0" * (a - i) + "1" * (b - v)
-        xs[i:] = [v] * (a - i)
+            return
+        x, v, n = xs[i - 1], xs[i] + 1, a - i
+        word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (b - v)
+        xs[i:] = [v] * n
+        row = (v,) if sep is None else f"{sep}{v}"
+        k = kept[i]
+        rows = row * n + rows[len(rows) - k :]
+        if n > 1:
+            kept[i + 1 :] = range(k + len(row), k + len(row) * n, len(row))

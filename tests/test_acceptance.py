@@ -175,7 +175,7 @@ def test_criterion_7_decomposition_soundness():
     for _ in range(500):
         a, b = rng.randint(1, 8), rng.randint(1, 12)
         if (a, b) not in pools:
-            pools[a, b] = enumerate_paths(a, b)
+            pools[a, b] = list(enumerate_paths(a, b))
         _, mu = rng.choice(pools[a, b])
         assert h_value(decompose(mu)) == count_paths(mu)
     rendered = render(decompose((4, 3, 1)))
@@ -186,7 +186,7 @@ def test_criterion_7_decomposition_soundness():
 def test_criterion_8_bijection_and_enumeration():
     for a in range(1, 9):
         for b in range(1, 9):
-            paths = enumerate_paths(a, b)
+            paths = list(enumerate_paths(a, b))
             diagrams_seen = set()
             for word, mu in paths:
                 assert word_to_diagram(a, b, word) == mu

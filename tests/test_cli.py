@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -423,8 +424,23 @@ def test_enumerate_json_paths_are_the_library_pairs(capsys):
             code, out, _ = run(capsys, "enumerate", str(a), str(b), "--json")
             assert code == 0
             items = json.loads(out)["results"]["paths"]
-            pairs = diagrams.enumerate_paths(a, b)
+            pairs = list(diagrams.enumerate_paths(a, b))
             assert [(p["word"], tuple(p["diagram"])) for p in items] == pairs
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_enumerate_streams_to_stdout_in_constant_memory(monkeypatch, fmt):
+    # 450 MB of output, written as it is made into a stdout that keeps nothing.
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["enumerate", "2", "30000", *fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 def test_enumerate_limit(capsys):

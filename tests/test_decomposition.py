@@ -228,7 +228,7 @@ def test_values_are_computed_once_per_node(monkeypatch):
         return catalan(n)
 
     monkeypatch.setattr(decomposition_mod, "catalan", spy)
-    memo, paths = {}, enumerate_paths(5, 7)
+    memo, paths = {}, list(enumerate_paths(5, 7))
     tables = [decompose(mu, memo) for _, mu in paths]
     values = [h_value(rows) for rows in tables]
     # Each call ends on its diagram's row, so the longest table is every row built.
@@ -311,7 +311,7 @@ def test_decomposition_sound_random():
         a = rng.randint(1, 8)
         b = rng.randint(1, 12)
         if (a, b) not in paths_by_rect:
-            paths_by_rect[a, b] = enumerate_paths(a, b)
+            paths_by_rect[a, b] = list(enumerate_paths(a, b))
         _, mu = rng.choice(paths_by_rect[a, b])
         assert h_value(decompose(mu)) == count_paths(mu)
 

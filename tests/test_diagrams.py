@@ -1,6 +1,7 @@
 """Diagram encoding, the word bijection, the counting DP, and enumeration."""
 
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -272,10 +273,10 @@ def test_count_rect_squares_are_catalan():
 
 
 def test_enumerate_examples():
-    assert enumerate_paths(2, 2) == [("0011", ()), ("0101", (1,))]
-    assert enumerate_paths(2, 3) == [("00111", ()), ("01011", (1,))]
-    assert enumerate_paths(1, 4) == [("01111", ())]
-    assert enumerate_paths(3, 3) == [
+    assert list(enumerate_paths(2, 2)) == [("0011", ()), ("0101", (1,))]
+    assert list(enumerate_paths(2, 3)) == [("00111", ()), ("01011", (1,))]
+    assert list(enumerate_paths(1, 4)) == [("01111", ())]
+    assert list(enumerate_paths(3, 3)) == [
         ("000111", ()),
         ("001011", (1,)),
         ("001101", (2,)),
@@ -293,12 +294,15 @@ def test_enumerate_matches_filter_oracle_with_order():
 def test_enumerate_counts_match_oracle():
     for a in range(1, 7):
         for b in range(1, 7):
-            assert len(enumerate_paths(a, b)) == count_rect(a, b)
+            assert len(list(enumerate_paths(a, b))) == count_rect(a, b)
 
 
-@pytest.mark.parametrize("a, b", [(130, 3), (3, 160), (60, 4), (2, 1200), (1, 1500)])
+LONG_RECTANGLES = [(130, 3), (3, 160), (60, 4), (2, 1200), (1, 1500)]
+
+
+@pytest.mark.parametrize("a, b", LONG_RECTANGLES)
 def test_enumerate_pairs_on_long_rectangles(a, b):
-    paths = enumerate_paths(a, b)
+    paths = list(enumerate_paths(a, b))
     assert len(paths) == count_rect(a, b)
     for word, mu in paths:
         assert word == diagram_to_word(a, b, mu)
@@ -307,7 +311,7 @@ def test_enumerate_pairs_on_long_rectangles(a, b):
 
 def test_enumerate_long_thin_rectangle():
     # a 1501-letter word: a walk that recurses once per letter overflows the stack
-    assert enumerate_paths(1, 1500) == [("0" + "1" * 1500, ())]
+    assert list(enumerate_paths(1, 1500)) == [("0" + "1" * 1500, ())]
 
 
 def test_enumerate_cap():
@@ -316,7 +320,37 @@ def test_enumerate_cap():
     assert exc.value.count == 14
     assert exc.value.cap == 10
     assert str(exc.value) == "too many paths: 14 exceeds the cap of 10"
-    assert len(enumerate_paths(4, 4, cap=14)) == 14  # cap is inclusive
+    assert len(list(enumerate_paths(4, 4, cap=14))) == 14  # cap is inclusive
+
+
+def test_enumerate_refuses_when_called():
+    # Both refusals come from the call itself, not from the first next().
+    with pytest.raises(TooManyPaths):
+        enumerate_paths(4, 4, cap=10)
+    with pytest.raises(OverflowError):
+        enumerate_paths(1, 10**20)
+
+
+def test_spliced_diagrams_are_the_words_diagrams():
+    # Each diagram is spliced from the one before; both forms must be the word's own.
+    rects = [(a, b) for a in range(1, 9) for b in range(1, 13)] + LONG_RECTANGLES
+    for a, b in rects:
+        texts = enumerate_paths(a, b, sep=",")
+        for (word, mu), (same, text) in zip(enumerate_paths(a, b), texts, strict=True):
+            assert mu == word_to_diagram(a, b, word)
+            assert (same, text) == (word, format_diagram(mu))
+
+
+def test_enumerate_streams_in_constant_memory():
+    # 15,001 words of 30,002 letters, about 450 MB if all were held at once.
+    tracemalloc.start()
+    try:
+        for _ in enumerate_paths(2, 30000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_enumerate_cap_env(monkeypatch):
