@@ -9,11 +9,11 @@ Catalan number, sums as sums and products as products reproduces the exact
 path count of the original diagram, so Catalan numbers alone generate every
 rectangle count through this calculus.
 
-The removed box is pinned to the outer corner of the topmost row still in
-excess of the largest inscribed isosceles staircase; that makes decompose a
-pure function with one well-defined expression per diagram.  decompose
-returns it as a table: a tuple of rows, children before parents, the root
-last.  A row is
+The removed box ends the top row of a diagram with L rows when I_{L+1} does
+not fit inside it, and otherwise the topmost row longer than I_{L+1}'s, so
+decompose is a pure function with one well-defined expression per diagram.
+decompose returns it as a table: a tuple of rows, children before parents,
+the root last.  A row is
 
     ("one", 1)                 the empty diagram,
     ("iso", C_n, n)            the staircase I_n, valued by catalan(n),
@@ -43,15 +43,8 @@ from __future__ import annotations
 import json
 
 from .comparison import _through_box_split
-from .diagrams import Diagram, as_diagram
+from .diagrams import as_diagram
 from .formulas import catalan
-
-
-def _max_isosceles(mu: Diagram) -> int:
-    """Largest n with I_n contained in ``mu`` (always at least 1)."""
-    # I_n has n - 1 rows and needs mu[r-1] >= n - r boxes in row r, so n is
-    # at most the row count plus one and at most mu[r-1] + r for every row.
-    return min([len(mu) + 1, *(m + r for r, m in enumerate(mu, 1))])
 
 
 def decompose(mu, memo: dict | None = None) -> tuple:
@@ -79,14 +72,20 @@ def decompose(mu, memo: dict | None = None) -> tuple:
             continue
         if nu in at:
             continue
-        n = _max_isosceles(nu)
-        # Topmost row sticking out of I_n.  The row above it holds at most
-        # n - r - 1 boxes, so row r ends in an outer corner.  With none, nu
-        # holds I_n and has no row past it, so nu is I_n, or empty for n = 1.
-        r = next((r for r in range(len(nu), 0, -1) if nu[r - 1] > n - r), 0)
+        # The box comes off the topmost row r sticking out of the largest
+        # staircase inside nu.  Row x of I_top, top = len(nu) + 1, holds
+        # top - x boxes, and I_n has n - 1 rows.  If a row of nu holds fewer,
+        # the largest has fewer rows than nu, and r is the top row.  Else it
+        # is I_top, and r the topmost row holding more: the row above holds
+        # I_top's, so r ends in a corner.  With no r, nu is I_top or empty.
+        top = len(nu) + 1
+        r = len(nu)
+        if all(m + x >= top for x, m in enumerate(nu, 1)):
+            while r and nu[r - 1] + r == top:
+                r -= 1
         if not r:
             at[nu] = len(rows)
-            rows.append(("iso", catalan(n), n) if nu else ("one", 1))
+            rows.append(("iso", catalan(top), top) if nu else ("one", 1))
             continue
         parts = _through_box_split(nu, r)
         stack.append((nu, parts))

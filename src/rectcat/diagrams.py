@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate
-from operator import lt
+from operator import index, lt
 
 Diagram = tuple[int, ...]
 
@@ -56,10 +56,10 @@ def check_rect(a: int, b: int) -> None:
 def as_diagram(rows) -> Diagram:
     """Normalize ``rows`` into a diagram tuple.
 
-    Rows are listed bottom-up, must be nonnegative and weakly decreasing;
-    trailing zeros are dropped.  Raises ValueError otherwise.
+    Rows are integers listed bottom-up, nonnegative and weakly decreasing;
+    trailing zeros are dropped.  Raises TypeError or ValueError otherwise.
     """
-    mu = tuple(map(int, rows))
+    mu = tuple(map(index, rows))
     if mu and (mu[-1] < 0 or any(map(lt, mu, mu[1:]))):
         # Only bad rows get here; the first offending row picks the message.
         for i, r in enumerate(mu):

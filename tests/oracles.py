@@ -209,3 +209,13 @@ def max_isosceles_by_scan(mu) -> int:
     while n <= len(mu) and all(mu[r - 1] >= n + 1 - r for r in range(1, n + 1)):
         n += 1
     return n
+
+
+def corner_by_scan(mu) -> int:
+    """Row of ``mu``, bottom-up from 1, whose corner box the splitting rule removes.
+
+    The largest staircase I_n inside ``mu`` by ``max_isosceles_by_scan``, then
+    the topmost row holding more boxes than I_n's, or 0 when none does.
+    """
+    n = max_isosceles_by_scan(mu)
+    return next((r for r in range(len(mu), 0, -1) if mu[r - 1] > n - r), 0)

@@ -7,10 +7,17 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import iso_rows, max_isosceles_by_scan, normal_form, subdiagrams_by_filter, tree
+from oracles import (
+    corner_by_scan,
+    iso_rows,
+    max_isosceles_by_scan,
+    normal_form,
+    subdiagrams_by_filter,
+    tree,
+)
 from rectcat import (
     as_diagram,
     catalan,
@@ -22,10 +29,11 @@ from rectcat import (
     expr_stats,
     h_value,
     render,
+    through_box_split,
 )
 from rectcat import decomposition as decomposition_mod
 from rectcat import verify
-from rectcat.decomposition import _max_isosceles, json_pieces
+from rectcat.decomposition import json_pieces
 
 # Catalan numbers by Segner's recurrence, independent of formulas.catalan.
 CATALAN = [1]
@@ -59,8 +67,14 @@ def evaluate(rows) -> list[int]:
     return values
 
 
-def max_isosceles(mu):
-    return _max_isosceles(as_diagram(mu))
+@st.composite
+def subdiagrams(draw, max_a=8, max_b=12):
+    a = draw(st.integers(1, max_a))
+    b = draw(st.integers(1, max_b))
+    rows = []
+    for top in christoffel_diagram(a, b):
+        rows.append(draw(st.integers(0, min([top, *rows[-1:]]))))
+    return as_diagram(rows)
 
 
 # ------------------------------------------------------------------ leaves
@@ -89,29 +103,34 @@ def test_node_validation():
 
 
 def test_max_isosceles():
-    assert max_isosceles((4, 3, 1)) == 4
-    assert max_isosceles(()) == 1
-    assert max_isosceles((7, 6, 4, 3, 1)) == 6
-    assert max_isosceles((2,)) == 2
+    assert max_isosceles_by_scan((4, 3, 1)) == 4
+    assert max_isosceles_by_scan(()) == 1
+    assert max_isosceles_by_scan((7, 6, 4, 3, 1)) == 6
+    assert max_isosceles_by_scan((2,)) == 2
     for n in range(1, 11):
-        assert max_isosceles(iso_rows(n)) == n
+        assert max_isosceles_by_scan(iso_rows(n)) == n
 
 
 def test_max_isosceles_is_maximal():
     # the next staircase up never fits
     for mu in [(4, 3, 1), (5, 1), (3, 3, 2), (7, 6, 4, 3, 1)]:
-        n = max_isosceles(mu)
+        n = max_isosceles_by_scan(mu)
         grown = iso_rows(n + 1)
         assert any(mu[r - 1] < grown[r - 1] if r <= len(mu) else True for r in range(1, n + 1))
 
 
 def test_max_isosceles_matches_scan_exhaustive():
+    # The scan's answer fits row by row and the next staircase up does not.
+    def fits(n, mu):
+        return len(mu) >= n - 1 and all(m >= s for m, s in zip(mu, iso_rows(n)))
+
     checked = 0
     for a in range(1, 8):
         for b in range(1, 10):
             for rows in subdiagrams_by_filter(christoffel_diagram(a, b)):
                 mu = as_diagram(rows)
-                assert max_isosceles(mu) == max_isosceles_by_scan(mu), mu
+                n = max_isosceles_by_scan(mu)
+                assert fits(n, mu) and not fits(n + 1, mu), mu
                 checked += 1
     assert checked == 3504
 
@@ -125,11 +144,48 @@ def test_decompose_base_cases():
         assert decompose(iso_rows(n)) == (("iso", CATALAN[n], n),)
 
 
+def assert_split_at_scan_corner(mu, memo):
+    # mu's split row names its slimmed part as row i.  Each diagram has one
+    # row in the memo, so i is the row of mu less the oracle's corner box
+    # exactly when decomposing that diagram adds no row and ends at row i.
+    root = decompose(mu, memo)[-1]
+    r = corner_by_scan(mu)
+    assert (root[0] == "split") == bool(r), mu
+    if r:
+        assert len(decompose(through_box_split(mu, r)[0], memo)) - 1 == root[2], mu
+
+
+def test_decompose_corner_matches_scan_exhaustive():
+    diagrams = {
+        as_diagram(rows)
+        for a in range(1, 9)
+        for b in range(1, 13)
+        for rows in subdiagrams_by_filter(christoffel_diagram(a, b))
+    }
+    assert len(diagrams) == 7229
+    memo = {}
+    for mu in sorted(diagrams):
+        assert_split_at_scan_corner(mu, memo)
+    # Both ways of finding the corner occur: I_{L+1} too large for the L rows
+    # (the top row's box), and I_{L+1} inside (the topmost row past it).
+    tops = {max_isosceles_by_scan(mu) == len(mu) + 1 for mu in diagrams if mu}
+    assert tops == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(subdiagrams(max_a=20, max_b=30))
+@example((1, 1))
+@example((5, 1))
+@example((4, 3, 2, 1))
+def test_decompose_corner_matches_scan_hypothesis(mu):
+    assert_split_at_scan_corner(mu, {})
+
+
 def test_decompose_iso_leaf_exactly_on_staircases_exhaustive():
     for rows in subdiagrams_by_filter(christoffel_diagram(7, 9)):
         mu = as_diagram(rows)
         if mu:
-            is_iso = mu == iso_rows(max_isosceles(mu))
+            is_iso = mu == iso_rows(max_isosceles_by_scan(mu))
             assert (decompose(mu)[-1][0] == "iso") == is_iso, mu
 
 
@@ -373,16 +429,6 @@ def test_render_text_matches_normal_form_oracle():
         for b in range(1, 13):
             rows = decompose(christoffel_diagram(a, b))
             assert render(rows, "text") == oracle_text(rows)
-
-
-@st.composite
-def subdiagrams(draw, max_a=8, max_b=12):
-    a = draw(st.integers(1, max_a))
-    b = draw(st.integers(1, max_b))
-    rows = []
-    for top in christoffel_diagram(a, b):
-        rows.append(draw(st.integers(0, min([top, *rows[-1:]]))))
-    return as_diagram(rows)
 
 
 @settings(max_examples=200, deadline=None)

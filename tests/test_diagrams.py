@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from rectcat import (
     coprime_catalan,
     count_paths,
     count_rect,
+    decompose,
     diagram_to_word,
     enumerate_paths,
     format_diagram,
@@ -51,6 +53,20 @@ def test_as_diagram_rejects_bad_rows():
         as_diagram([1, 2, -1])
     with pytest.raises(ValueError, match="^negative row length -2 in"):
         as_diagram([-2, 5])
+
+
+@pytest.mark.parametrize("row", [2.5, 1.0, Fraction(5, 2), Fraction(2), "2"])
+def test_as_diagram_rejects_non_integer_rows(row):
+    # Refused whatever the value, not truncated or parsed, as count_rect
+    # refuses a float side.
+    with pytest.raises(TypeError):
+        as_diagram((row,))
+    with pytest.raises(TypeError):
+        as_diagram((3, row))
+    with pytest.raises(TypeError):
+        count_paths([row])
+    with pytest.raises(TypeError):
+        decompose((row,))
 
 
 def test_as_diagram_is_linear_in_trailing_zeros():
