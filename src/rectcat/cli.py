@@ -239,7 +239,17 @@ def _report_checks(checks):
     return lines, results, failures
 
 
+def _sweep_bounds(args) -> None:
+    """Refuse a negative sweep bound: its sweeps would cover nothing and pass."""
+    bounds = [("--max-a", args.max_a), ("--max-b", args.max_b)]
+    bounds += [("--families", n) for n in getattr(args, "families", None) or ()]
+    for flag, n in bounds:
+        if n < 0:
+            raise ValueError(f"{flag} must not be negative, got {n}")
+
+
 def _cmd_verify(args):
+    _sweep_bounds(args)
     if args.families:
         fam_k, fam_n = args.families
     else:
@@ -248,6 +258,7 @@ def _cmd_verify(args):
 
 
 def _cmd_identities(args):
+    _sweep_bounds(args)
     return _report_checks(verify.run_identity_checks(args.max_a, args.max_b))
 
 

@@ -4,14 +4,19 @@ Each check compares an independent pair of routes over a bounded grid and
 reports the counterexamples it finds instead of raising, so a single run can
 show everything that is broken.  Every route-vs-oracle check is the one
 sweep check_vs_oracle, which run_verify feeds a stream of cases per route:
-a rectangle and the route call that must match the oracle there.  All
+a rectangle and the route call that must match the oracle there.  run_verify
+builds one cache of the rectangle oracle when it is called and hands it to
+every route-vs-oracle check, so the run counts each rectangle once.  All
 library calls go through the module objects, which keeps the checks honest
 under fault injection in tests.  The split-contract and decomposition sweeps
-meet a few hundred diagrams thousands of times, so each caches the oracle it
-finds on the module for the length of one call, and the split sweep caches
-through_box_split the same way: an injected fault is cached like any answer
-and still shows, and nothing outlives the call.  A check formats its
-counterexample only when a cell fails; passing cells cost no string.
+meet a few hundred diagrams thousands of times, so for the length of one
+call each caches the oracle it finds on the module and keeps what each
+diagram contributes: its corner cells and counterexamples, or its
+decomposition value.  A repeat visit adds that again, so cells and
+counterexamples read as if every visit had done the work.  An injected fault
+is cached like any answer and still shows, and nothing outlives the call.  A
+check formats its counterexample only when a cell fails; passing cells cost
+no string.
 """
 
 from __future__ import annotations
@@ -40,15 +45,15 @@ class CheckResult:
         return not self.failures
 
 
-def check_vs_oracle(name: str, cases) -> CheckResult:
-    """One route against the oracle over ``(rectangle, call, route, args)`` cases.
+def check_vs_oracle(name: str, oracle, cases) -> CheckResult:
+    """One route against ``oracle(a, b)`` over ``(rectangle, call, route, args)`` cases.
 
     ``call`` is the route's label as a template with one field per argument,
     such as ``"fuss({},{})"``.
     """
     res = CheckResult(name)
     for (a, b), call, route, args in cases:
-        want = diagrams.count_rect(a, b)
+        want = oracle(a, b)
         got = route(*args)
         res.check(got == want, call + " = {}, oracle {}", *args, got, want)
     return res
@@ -87,20 +92,26 @@ def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
 def check_split_contract(max_a: int, max_b: int) -> CheckResult:
     res = CheckResult("split-contract-exhaustive")
     count = cache(diagrams.count_paths)
-    split = cache(comparison.through_box_split)
+
+    @cache
+    def corners(mu) -> CheckResult:  # the cells and failures mu adds at every visit
+        part = CheckResult(res.name)
+        want = count(mu)
+        for r in range(1, len(mu) + 1):
+            beyond = mu[r] if r < len(mu) else 0
+            if mu[r - 1] <= beyond:
+                continue
+            slim, upper, lower = comparison.through_box_split(mu, r)
+            got = count(slim) + count(upper) * count(lower)
+            part.check(got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want)
+        return part
+
     for a in range(1, min(max_a, 6) + 1):
         for b in range(1, min(max_b, 8) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
-                want = count(mu)
-                for r in range(1, len(mu) + 1):
-                    beyond = mu[r] if r < len(mu) else 0
-                    if mu[r - 1] <= beyond:
-                        continue
-                    slim, upper, lower = split(mu, r)
-                    got = count(slim) + count(upper) * count(lower)
-                    res.check(
-                        got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want
-                    )
+                part = corners(mu)
+                res.cells += part.cells
+                res.failures += part.failures
     return res
 
 
@@ -109,17 +120,16 @@ def check_decomposition(max_a: int, max_b: int) -> CheckResult:
     # One memo for the sweep: its diagrams share many rows, values and all.
     memo = {}
     count = cache(diagrams.count_paths)
+    value = cache(lambda mu: decomposition.h_value(decomposition.decompose(mu, memo)))
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
-                want = count(mu)
-                got = decomposition.h_value(decomposition.decompose(mu, memo))
+                want, got = count(mu), value(mu)
                 res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
             mu = diagrams.christoffel_diagram(a, b)
-            want = diagrams.count_rect(a, b)
-            got = decomposition.h_value(decomposition.decompose(mu, memo))
+            want, got = count(mu), value(mu)
             res.check(
                 got == want,
                 "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,
@@ -193,32 +203,34 @@ def run_identity_checks(max_a: int, max_b: int) -> list[CheckResult]:
 def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResult]:
     """Every sweep: formulas, theorems, splitting, decomposition, identities."""
     rows, cols = range(1, max_a + 1), range(1, max_b + 1)
+    # One oracle for the run: the route-vs-oracle checks share most rectangles.
+    oracle = cache(diagrams.count_rect)
     return [
-        check_vs_oracle("coprime-formula-vs-oracle", (
+        check_vs_oracle("coprime-formula-vs-oracle", oracle, (
             ((a, b), "coprime({},{})", formulas.coprime_catalan, (a, b))
             for a in rows for b in cols if gcd(a, b) == 1
         )),
-        check_vs_oracle("fuss-formula-vs-oracle", (
+        check_vs_oracle("fuss-formula-vs-oracle", oracle, (
             ((a, a * k), "fuss({},{})", formulas.fuss_catalan, (a, k))
             for a in rows for k in range(1, max_b // a + 1)
         )),
-        check_vs_oracle("prime-dispatch-vs-oracle", (
+        check_vs_oracle("prime-dispatch-vs-oracle", oracle, (
             ((p, b), "prime_rect({},{})", formulas.prime_rect, (p, b))
             for p in rows if formulas._is_prime(p) for b in cols
         )),
-        check_vs_oracle("bizley-vs-oracle", (
+        check_vs_oracle("bizley-vs-oracle", oracle, (
             ((a, b), "bizley({},{})", bizley.bizley_count, (a, b)) for a in rows for b in cols
         )),
-        check_vs_oracle("catalan-on-squares", (
+        check_vs_oracle("catalan-on-squares", oracle, (
             ((n, n), "catalan({})", formulas.catalan, (n,))
             for n in range(1, min(max_a, max_b, 10) + 1)
         )),
-        check_vs_oracle("theorem1-vs-oracle", (
+        check_vs_oracle("theorem1-vs-oracle", oracle, (
             ((2 * k, 2 * k * (n + 1) - 2), "theorem1({},{})", comparison.theorem1_count, (k, n))
             for k in range(1, fam_k + 1) for n in range(0, fam_n + 1)
             if 2 * k * (n + 1) - 2 >= 1
         )),
-        check_vs_oracle("theorem2-vs-oracle", (
+        check_vs_oracle("theorem2-vs-oracle", oracle, (
             ((2 * k, 2 * k * n + 2), "theorem2({},{})", comparison.theorem2_count, (k, n))
             for k in range(1, fam_k + 1) for n in range(1, fam_n + 1)
         )),

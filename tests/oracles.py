@@ -5,12 +5,19 @@ filtering every placement of the down steps, diagrams from filtering every
 row filling, so a systematic error in the dynamic programs would have to be
 reproduced here by coincidence to slip through.  Everything is exact and
 deliberately slow; keep the ranges small.
+
+The two *_by_visits sweeps are the verify sweeps as they were before they
+kept one result per diagram: they redo every diagram at every visit, so a
+memo that dropped, reordered or repeated a failure would not match them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
+
+from rectcat import comparison, decomposition, diagrams
+from rectcat.verify import CheckResult
 
 
 def words_by_filter(a: int, b: int) -> list[str]:
@@ -219,3 +226,45 @@ def corner_by_scan(mu) -> int:
     """
     n = max_isosceles_by_scan(mu)
     return next((r for r in range(len(mu), 0, -1) if mu[r - 1] > n - r), 0)
+
+
+def split_contract_by_visits(max_a: int, max_b: int) -> CheckResult:
+    """verify.check_split_contract, every outer corner worked out at every visit."""
+    res = CheckResult("split-contract-exhaustive")
+    count = diagrams.count_paths
+    for a in range(1, min(max_a, 6) + 1):
+        for b in range(1, min(max_b, 8) + 1):
+            for _, mu in diagrams.enumerate_paths(a, b):
+                want = count(mu)
+                for r in range(1, len(mu) + 1):
+                    beyond = mu[r] if r < len(mu) else 0
+                    if mu[r - 1] <= beyond:
+                        continue
+                    slim, upper, lower = comparison.through_box_split(mu, r)
+                    got = count(slim) + count(upper) * count(lower)
+                    res.check(
+                        got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want
+                    )
+    return res
+
+
+def decomposition_by_visits(max_a: int, max_b: int) -> CheckResult:
+    """verify.check_decomposition, every diagram decomposed and counted at every visit."""
+    res = CheckResult("decomposition-vs-oracle")
+    memo = {}
+    for a in range(1, min(max_a, 5) + 1):
+        for b in range(1, min(max_b, 7) + 1):
+            for _, mu in diagrams.enumerate_paths(a, b):
+                want = diagrams.count_paths(mu)
+                got = decomposition.h_value(decomposition.decompose(mu, memo))
+                res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
+    for a in range(1, max_a + 1):
+        for b in range(1, max_b + 1):
+            mu = diagrams.christoffel_diagram(a, b)
+            want = diagrams.count_rect(a, b)
+            got = decomposition.h_value(decomposition.decompose(mu, memo))
+            res.check(
+                got == want,
+                "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,
+            )
+    return res

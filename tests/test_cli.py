@@ -600,6 +600,30 @@ def test_identities(capsys):
     assert out.splitlines()[-1] == "RESULT: PASS (4 checks, 285 cells)"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "--max-a", "-1"], "--max-a", -1),
+        (["verify", "--max-b", "-1"], "--max-b", -1),
+        (["verify", "--families", "-2", "-2"], "--families", -2),
+        (["verify", "--families", "1", "-1"], "--families", -1),
+        (["identities", "--max-a", "-1"], "--max-a", -1),
+        (["identities", "--max-b", "-3"], "--max-b", -3),
+    ],
+)
+def test_sweeps_refuse_a_negative_bound(capsys, argv, flag, value):
+    # A negative bound sweeps nothing, so it would otherwise pass.
+    assert run(capsys, *argv) == (2, "", f"error: {flag} must not be negative, got {value}\n")
+
+
+def test_sweeps_take_a_zero_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--max-a", "0", "--families", "0", "0")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("RESULT: PASS")
+    code, out, _ = run(capsys, "identities", "--max-b", "0")
+    assert code == 0
+
+
 # ------------------------------------------------------------------ expand
 
 

@@ -1,0 +1,96 @@
+"""The verify sweeps do each distinct piece of work once per call, and say the same."""
+
+import pytest
+
+from oracles import decomposition_by_visits, split_contract_by_visits
+from rectcat import comparison, decomposition, diagrams, verify
+from rectcat.diagrams import as_diagram
+
+ROUTE_CHECKS = [
+    "coprime-formula-vs-oracle",
+    "fuss-formula-vs-oracle",
+    "prime-dispatch-vs-oracle",
+    "bizley-vs-oracle",
+    "catalan-on-squares",
+    "theorem1-vs-oracle",
+    "theorem2-vs-oracle",
+]
+
+
+def _count_paths_off_by_one(monkeypatch):  # on every diagram of two or more rows
+    oracle = diagrams.count_paths
+    monkeypatch.setattr(diagrams, "count_paths", lambda mu: oracle(mu) + (len(as_diagram(mu)) >= 2))
+
+
+def _split_drops_lower(monkeypatch):
+    split = comparison.through_box_split
+
+    def drop_lower(mu, r):
+        slimmed, upper, _ = split(mu, r)
+        return slimmed, upper, ()
+
+    monkeypatch.setattr(comparison, "through_box_split", drop_lower)
+
+
+def _catalan_plus_one(monkeypatch):
+    catalan = decomposition.catalan
+    monkeypatch.setattr(decomposition, "catalan", lambda n: catalan(n) + 1)
+
+
+FAULTS = {
+    "clean": lambda monkeypatch: None,
+    "count-paths-off-by-one": _count_paths_off_by_one,
+    "split-drops-lower": _split_drops_lower,
+    "catalan-plus-one": _catalan_plus_one,
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 4), (6, 8), (8, 10), (12, 16)])
+def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
+    FAULTS[fault](monkeypatch)
+    failures = []
+    for memo, visits in (
+        (verify.check_split_contract, split_contract_by_visits),
+        (verify.check_decomposition, decomposition_by_visits),
+    ):
+        got, want = memo(*bounds), visits(*bounds)
+        assert (got.name, got.cells) == (want.name, want.cells)
+        assert got.failures == want.failures
+        failures += got.failures
+    # Each fault shows in one sweep or both, except on the 1x1 grid's empty diagram.
+    assert bool(failures) == (fault != "clean" and bounds != (1, 1))
+
+
+def test_route_checks_share_one_oracle(monkeypatch):
+    count_rect, check_vs_oracle = diagrams.count_rect, verify.check_vs_oracle
+    inside, asked = [False], []
+
+    def spy(a, b):
+        if inside[0]:
+            asked.append((a, b))
+        return count_rect(a, b)
+
+    def tracked(*args):  # count only the asks made inside a route-vs-oracle check
+        inside[0] = True
+        try:
+            return check_vs_oracle(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(diagrams, "count_rect", spy)
+    monkeypatch.setattr(verify, "check_vs_oracle", tracked)
+    checks = verify.run_verify(8, 10, 4, 3)
+    assert all(c.passed for c in checks)
+    assert asked and len(asked) == len(set(asked))
+
+    monkeypatch.setattr(diagrams, "count_rect", lambda a, b: count_rect(a, b) + 1)
+    faulty = verify.run_verify(8, 10, 4, 3)
+    assert [c.name for c in faulty[:7]] == ROUTE_CHECKS
+    for c in faulty[:7]:
+        assert c.cells and len(c.failures) == c.cells, c.name
+
+    monkeypatch.undo()
+    clean = verify.run_verify(8, 10, 4, 3)
+    assert all(c.passed for c in clean)
+    assert sum(c.cells for c in clean) == 3418
