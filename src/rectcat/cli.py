@@ -4,7 +4,8 @@ Every command is deterministic (identical inputs give byte-identical
 stdout).  Exit codes: 0 success, 2 usage or domain error, 3 verification
 failure or internal cross-check mismatch.  --json swaps the text output for
 a single versioned JSON object; counts travel as decimal strings there, so
-no reader has to round-trip big integers through floats.
+no reader has to round-trip big integers through floats.  enumerate's count,
+bounded by its cap, is the one JSON integer among them.
 
 A handler returns (text lines, JSON results, failures).  decompose and
 enumerate build only the form that --json selects and leave the other None.
@@ -266,7 +267,9 @@ def _cmd_expand(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
     family, _, n = _theorem_fit(a, b)
-    terms, total, step, diff = verify.rule2_bridge(a, b, family, n)
+    # Terms and width step share rectangles: count each once.
+    oracle = functools.cache(diagrams.count_rect)
+    terms, total, step, diff = verify.rule2_bridge(a, b, family, n, oracle)
     lines = [f"family: {family} (a={a}, b={b}, n={n})"]
     items = []
     for left, right, lc, rc in terms:

@@ -3,20 +3,21 @@
 Each check compares an independent pair of routes over a bounded grid and
 reports the counterexamples it finds instead of raising, so a single run can
 show everything that is broken.  Every route-vs-oracle check is the one
-sweep check_vs_oracle, which run_verify feeds a stream of cases per route:
-a rectangle and the route call that must match the oracle there.  run_verify
+sweep check_vs_oracle, which run_verify feeds a stream of cases per route: a
+rectangle and the route call that must match the oracle there.  run_verify
 builds one cache of the rectangle oracle when it is called and hands it to
-every route-vs-oracle check, so the run counts each rectangle once.  All
-library calls go through the module objects, which keeps the checks honest
-under fault injection in tests.  The split-contract and decomposition sweeps
-meet a few hundred diagrams thousands of times, so for the length of one
-call each caches the oracle it finds on the module and keeps what each
-diagram contributes: its corner cells and counterexamples, or its
-decomposition value.  A repeat visit adds that again, so cells and
-counterexamples read as if every visit had done the work.  An injected fault
-is cached like any answer and still shows, and nothing outlives the call.  A
-check formats its counterexample only when a cell fails; passing cells cost
-no string.
+every route-vs-oracle check and both rule2 checks, so these checks count
+each rectangle once; only enumerate_paths, sizing each rectangle of the two
+sweeps for its cap, counts on its own.  All library calls go through the
+module objects, which keeps the checks honest under fault injection in
+tests.  The split-contract and decomposition sweeps meet a few hundred
+diagrams thousands of times, so for the length of one call each caches the
+oracle it finds on the module and keeps what each diagram contributes: its
+corner cells and counterexamples, or its decomposition value.  A repeat
+visit adds that again, so cells and counterexamples read as if every visit
+had done the work.  An injected fault is cached like any answer and still
+shows, and nothing outlives the call.  A check formats its counterexample
+only when a cell fails; passing cells cost no string.
 """
 
 from __future__ import annotations
@@ -59,29 +60,30 @@ def check_vs_oracle(name: str, oracle, cases) -> CheckResult:
     return res
 
 
-def rule2_bridge(a: int, b: int, family: str, n: int) -> tuple[list, int, str, int]:
+def rule2_bridge(a: int, b: int, family: str, n: int, oracle) -> tuple[list, int, str, int]:
     """The rule2 terms of (a, b) with their counts, and the width step they sum to.
 
-    Returns (terms, sum, step label, step), each term (left, right, left count, right count).
+    ``oracle(a, b)`` counts a rectangle's paths.  Returns (terms, sum, step
+    label, step), each term (left, right, left count, right count).
     """
     terms = [
-        (left, right, diagrams.count_rect(*left), diagrams.count_rect(*right))
+        (left, right, oracle(*left), oracle(*right))
         for left, right in comparison.rule2_terms(a, family, n)
     ]
     total = sum(lc * rc for _, _, lc, rc in terms)
     wide, narrow = (b + 1, b) if family == "upper" else (b, b - 1)
-    diff = diagrams.count_rect(a, wide) - diagrams.count_rect(a, narrow)
+    diff = oracle(a, wide) - oracle(a, narrow)
     return terms, total, f"count({a},{wide}) - count({a},{narrow})", diff
 
 
-def check_rule2(family: str, fam_k: int, fam_n: int) -> CheckResult:
+def check_rule2(family: str, fam_k: int, fam_n: int, oracle) -> CheckResult:
     # The upper family starts at n = 1: n = 0 is degenerate or of width zero.
     res = CheckResult(f"rule2-{family}-telescopes")
     for k in range(1, fam_k + 1):
         a = 2 * k
         for n in range(0 if family == "lower" else 1, fam_n + 1):
             b = a * n + 2 if family == "lower" else a * (n + 1) - 2
-            _, got, _, diff = rule2_bridge(a, b, family, n)
+            _, got, _, diff = rule2_bridge(a, b, family, n, oracle)
             res.check(
                 got == diff,
                 "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,
@@ -234,8 +236,8 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
             ((2 * k, 2 * k * n + 2), "theorem2({},{})", comparison.theorem2_count, (k, n))
             for k in range(1, fam_k + 1) for n in range(1, fam_n + 1)
         )),
-        check_rule2("upper", fam_k, fam_n),
-        check_rule2("lower", fam_k, fam_n),
+        check_rule2("upper", fam_k, fam_n, oracle),
+        check_rule2("lower", fam_k, fam_n, oracle),
         check_split_contract(max_a, max_b),
         check_decomposition(max_a, max_b),
         *run_identity_checks(max_a, max_b),

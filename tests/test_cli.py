@@ -641,6 +641,19 @@ def test_expand_lower_family_frozen(capsys):
     )
 
 
+def test_expand_counts_each_rectangle_once(capsys, monkeypatch):
+    # 6x8 has the terms 1x2 * 5x6, 2x3 * 4x5, 3x4 * 3x4 and the step 6x8 - 6x7.
+    count_rect, asked = diagrams.count_rect, []
+
+    def spy(a, b):
+        asked.append((a, b))
+        return count_rect(a, b)
+
+    monkeypatch.setattr(diagrams, "count_rect", spy)
+    assert run(capsys, "expand", "6", "8")[0] == 0
+    assert len(asked) == len(set(asked)) == 7
+
+
 def test_expand_upper_family(capsys):
     code, out, _ = run(capsys, "expand", "8", "14")
     assert code == 0

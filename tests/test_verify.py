@@ -15,6 +15,7 @@ ROUTE_CHECKS = [
     "theorem1-vs-oracle",
     "theorem2-vs-oracle",
 ]
+RULE2_CHECKS = ["rule2-upper-telescopes", "rule2-lower-telescopes"]
 
 
 def _count_paths_off_by_one(monkeypatch):  # on every diagram of two or more rows
@@ -63,32 +64,28 @@ def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
 
 
 def test_route_checks_share_one_oracle(monkeypatch):
-    count_rect, check_vs_oracle = diagrams.count_rect, verify.check_vs_oracle
-    inside, asked = [False], []
+    # The rule2 checks take the run's oracle too, so the run asks count_rect
+    # once per distinct rectangle, plus enumerate_paths sizing each of the
+    # 6 * 8 split-sweep and 5 * 7 decomposition-sweep rectangles.
+    count_rect, asked = diagrams.count_rect, []
 
     def spy(a, b):
-        if inside[0]:
-            asked.append((a, b))
+        asked.append((a, b))
         return count_rect(a, b)
 
-    def tracked(*args):  # count only the asks made inside a route-vs-oracle check
-        inside[0] = True
-        try:
-            return check_vs_oracle(*args)
-        finally:
-            inside[0] = False
-
     monkeypatch.setattr(diagrams, "count_rect", spy)
-    monkeypatch.setattr(verify, "check_vs_oracle", tracked)
     checks = verify.run_verify(8, 10, 4, 3)
     assert all(c.passed for c in checks)
-    assert asked and len(asked) == len(set(asked))
+    assert len(set(asked)) == 113
+    assert len(asked) == 113 + 6 * 8 + 5 * 7
 
     monkeypatch.setattr(diagrams, "count_rect", lambda a, b: count_rect(a, b) + 1)
     faulty = verify.run_verify(8, 10, 4, 3)
-    assert [c.name for c in faulty[:7]] == ROUTE_CHECKS
+    assert [c.name for c in faulty[:9]] == [*ROUTE_CHECKS, *RULE2_CHECKS]
     for c in faulty[:7]:
         assert c.cells and len(c.failures) == c.cells, c.name
+    # The rule2 checks count with the same oracle, so the fault shows there too.
+    assert all(c.failures for c in faulty[7:9])
 
     monkeypatch.undo()
     clean = verify.run_verify(8, 10, 4, 3)
