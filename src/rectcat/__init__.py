@@ -22,6 +22,7 @@ from .decomposition import (
 )
 from .diagrams import (
     Diagram,
+    TooManyLetters,
     TooManyPaths,
     as_diagram,
     christoffel_diagram,
@@ -49,6 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Diagram",
+    "TooManyLetters",
     "TooManyPaths",
     "as_diagram",
     "avoidance_value",

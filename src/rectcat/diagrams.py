@@ -20,22 +20,32 @@ diagram belongs to some (a,b)-path exactly when it fits inside the staircase.
 count_paths is the counting oracle for the whole package: a row-by-row
 dynamic program over sub-diagrams, exact in arbitrary-precision integers.
 
-enumerate_paths streams every path from one odometer over xs.  Each step
-raises one down step i to v and pulls the later ones up to v, so each word
-and each diagram is spliced from the one before: the diagram is v repeated
-a - i times, bottom row first, followed by the rows above step i, kept as
-they were.  The diagram comes as a tuple or, for a writer, as its rows' text.
+enumerate_paths streams every path as a head and a tail.  An odometer runs
+over the first a - k positions of xs.  Each step raises one down step i to v
+and pulls the later ones up to v, so each head, the word up to down step
+a - k - 1, and the rows above it are spliced from the ones before: v
+repeated, bottom row first, followed by the rows above step i, kept as they
+were.  For the head's last position x, a table built when the walk starts
+holds every completion of the last k down steps: the rest of its word, and
+its rows.  So each path is two concatenations, head + tail and tail rows +
+head rows, made inside zip and map.  k is picked before any table is built,
+from the odometer's settings counted forward and the completions counted
+backward: the least cost of odometer steps plus table entries, every level
+of the tables counted, within a budget of letters held.  At k = 0 there is
+no table and each setting is a path.  The diagram comes as a tuple or, for a
+writer, as its rows' text.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate
-from operator import index, lt
+from itertools import accumulate, repeat
+from operator import add, index, lt, mul
 
 Diagram = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10**6
+LETTER_CAP = 10**9
 
 
 class TooManyPaths(ValueError):
@@ -44,6 +54,15 @@ class TooManyPaths(ValueError):
     def __init__(self, count: int, cap: int):
         super().__init__(f"too many paths: {count} exceeds the cap of {cap}")
         self.count = count
+        self.cap = cap
+
+
+class TooManyLetters(ValueError):
+    """Raised when an enumeration's words would exceed the letters cap."""
+
+    def __init__(self, letters: int, cap: int):
+        super().__init__(f"too many letters: {letters} exceeds the cap of {cap}")
+        self.letters = letters
         self.cap = cap
 
 
@@ -181,45 +200,154 @@ def enumerate_paths(
     """Every (a,b)-Dyck path as ``(word, diagram)``, words in lexicographic order.
 
     Returns an iterator.  The call itself refuses: with TooManyPaths when the
-    count exceeds ``cap``, and with OverflowError when the word is longer than
-    Python can index.  With ``sep`` a string, each diagram comes as its rows'
-    decimal text joined by ``sep`` (the empty diagram as "") instead of a tuple.
+    count exceeds ``cap``, with OverflowError when the word is longer than
+    Python can index, and with TooManyLetters when the words, with one more
+    letter each for a line end, would hold more than LETTER_CAP letters.
+    With ``sep`` a string, each diagram comes as its rows' decimal text
+    joined by ``sep`` (the empty diagram as "") instead of a tuple.
     """
     total = count_rect(a, b)
     if total > cap:
         raise TooManyPaths(total, cap)
-    # The first word is built here, so a size Python cannot index raises now.
-    return _walk(a, b, "0" * a + "1" * b, sep)
+    "" * (a + b)  # a word Python cannot index raises OverflowError here
+    letters = total * (a + b + 1)
+    if letters > LETTER_CAP:
+        raise TooManyLetters(letters, LETTER_CAP)
+    return _walk(a, b, total, sep)
 
 
-def _walk(a: int, b: int, word: str, sep: str | None):
-    # An odometer over the down-step positions, xs[i] running from xs[i-1] up
-    # to b*i // a: advance the last position below its bound to v and pull
-    # every later one up to v, the least each may take.  Word and diagram are
-    # both spliced from the ones before.  The word keeps everything up to down
-    # step i-1, which sits at xs[i-1] + i - 1, then runs right to v, steps down
-    # a - i times and runs right to b.  The diagram, bottom row first, is v
-    # repeated a - i times followed by the rows above down step i, which it
-    # keeps: they are the last kept[i] items of the one before.  A row is
-    # (v,) in a tuple, or the characters of sep + str(v) in text, which then
-    # drops its first sep.  Zero rows are never written, so none trail.
+def _walk(a: int, b: int, total: int, sep: str | None):
+    # An odometer over the first p = a - k down-step positions, xs[i] running
+    # from xs[i-1] up to b*i // a: advance the last position below its bound
+    # to v and pull every later one up to v, the least each may take.  The
+    # word and the rows are both spliced from the ones before.  The word keeps
+    # everything up to down step i-1, which sits at xs[i-1] + i - 1, then
+    # runs right to v and steps down p - i times.  The rows, bottom row
+    # first, are v repeated p - i times followed by the rows above down step
+    # i, which they keep: the last kept[i] items of the ones before.  A row is
+    # (v,) in a tuple, or the characters of sep + str(v) in text.  Zero rows
+    # are never written, so none trail.  At k = 0 each setting is a path: its
+    # word also runs right to end = b (deeper, end - v < 0 writes nothing),
+    # and its text drops the first sep.  Deeper, each setting is the head of
+    # every completion _tables holds for its last position x: the path is
+    # head + tail, and its rows the tail's, which carry no leading sep,
+    # followed by the setting's.
     bounds = [b * i // a for i in range(a)]
-    xs = [0] * a
-    kept = [0] * a
+    k = _depth(a, b, bounds, total)
+    p = a - k
+    if k:
+        words, tails = _tables(a, b, bounds, p, sep)
+    end = 0 if k else b
+    xs = [0] * p
+    kept = [0] * p
+    word = "0" * p + "1" * end
     rows = () if sep is None else ""
-    lead = 0 if sep is None else len(sep)
+    lead = 0 if sep is None or k else len(sep)
     while True:
-        yield word, rows[lead:]
-        i = a - 1
+        if k:
+            x = xs[-1]
+            yield from zip(map(word.__add__, words[x]), map(add, tails[x], repeat(rows)))
+        else:
+            yield word, rows[lead:]
+        i = p - 1
         while i and xs[i] == bounds[i]:
             i -= 1
         if not i:
             return
-        x, v, n = xs[i - 1], xs[i] + 1, a - i
-        word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (b - v)
+        x, v, n = xs[i - 1], xs[i] + 1, p - i
+        word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (end - v)
         xs[i:] = [v] * n
         row = (v,) if sep is None else f"{sep}{v}"
-        k = kept[i]
-        rows = row * n + rows[len(rows) - k :]
+        held = kept[i]
+        rows = row * n + rows[len(rows) - held :]
         if n > 1:
-            kept[i + 1 :] = range(k + len(row), k + len(row) * n, len(row))
+            kept[i + 1 :] = range(held + len(row), held + len(row) * n, len(row))
+
+
+def _tables(a: int, b: int, bounds: list[int], p: int, sep: str | None):
+    # The completions of down steps p..a-1 for each position x of step p-1:
+    # words[x] holds the rest of each word, tails[x] its rows, bottom row
+    # first, in lexicographic order.  Built one level j at a time from the
+    # last step up.  An entry of level j for y = xs[j-1] is, for v = xs[j]
+    # from y up: "0" followed by an entry of level j+1 for v, when v = y;
+    # otherwise "1" followed by an entry of level j for y + 1.  Its rows are
+    # those of the level below followed by row v, which is never written
+    # when zero.  Only the level being built and the one below it are held.
+    words = [["1" * (b - y)] for y in range(bounds[-1] + 1)]
+    tails = [[() if sep is None else ""]] * len(words)
+    for j in range(a - 1, p - 1, -1):
+        ws, ts = [], []
+        level_words, level_tails = [], []
+        for y in range(bounds[j], -1, -1):
+            if not y:
+                row = () if sep is None else ""
+            elif sep is None:
+                row = (y,)
+            else:
+                row = f"{sep}{y}" if j < a - 1 else str(y)
+            ws = [*map("0".__add__, words[y]), *map("1".__add__, ws)]
+            ts = [*map(add, tails[y], repeat(row)), *ts]
+            level_words.append(ws)
+            level_tails.append(ts)
+        words, tails = level_words[::-1], level_tails[::-1]
+    return words, tails
+
+
+# The walk's costs, fitted to its times, in units of one table entry built,
+# which costs about as much as one position the odometer writes: a setting
+# at depth 0, which is a path; a setting deeper, which opens the iterators
+# over its table; a path taken from a table; a table list built.
+_PATH, _SETTING, _ITEM, _TABLE = 8, 15, 1, 8
+# The letters the two newest table levels may hold while they are built,
+# each entry counted as its word and 100 letters more for its objects.
+_TABLE_LETTERS = 3 * 2**20
+
+
+def _depth(a: int, b: int, bounds: list[int], total: int) -> int:
+    """How many down steps _walk takes from tables: the k of least cost.
+
+    Counting costs up to about 4 * _TABLE a level each way.  The answer is
+    0 without counting when that is more than the tables could save, which
+    is _PATH - _ITEM and fewer than a odometer steps on each path, and when
+    the last level alone breaks the budget: its (m + 1) * m / 2 entries for
+    m = bounds[-1] + 1 are each charged at least b + 102 - m letters.
+    """
+    m = bounds[-1] + 1
+    if (a + _PATH - _ITEM) * total <= 8 * _TABLE * a:
+        return 0
+    if (m + 1) * m // 2 * (b + 102 - m) > _TABLE_LETTERS:
+        return 0
+    # Forward: heads[p] odometer settings over the first p down steps, the
+    # prefixes of length p; each writes position p - 1, so steps[p], their
+    # running sum, counts the positions written.
+    heads = [0]
+    t = [1]
+    for i in range(1, a):
+        heads.append(sum(t))
+        t = list(accumulate(t))
+        t += [t[-1]] * (bounds[i] + 1 - len(t))
+    heads.append(total)
+    steps = list(accumulate(heads))
+    # Backward, while the budget holds and the tables alone cost less than
+    # the best depth so far: n[y] completions of down steps j..a-1 after
+    # xs[j-1] = y, and built the cost of the tables of depth a - j, every
+    # level counted.  A word of level j has a - j + b - y letters, so the
+    # first test is a cheap lower bound of the second.
+    best, least = 0, steps[a] + _PATH * total
+    n = [1] * m
+    built = below = 0
+    for j in range(a - 1, 0, -1):
+        n = list(accumulate(n[bounds[j] :: -1]))[::-1]
+        entries = sum(n)
+        width = a - j + b + 100
+        if entries * (width - bounds[j]) + below > _TABLE_LETTERS:
+            break
+        letters = sum(map(mul, n, range(width, width - len(n), -1)))
+        built += entries + _TABLE * len(n)
+        if letters + below > _TABLE_LETTERS or built + _ITEM * total >= least:
+            break
+        below = letters
+        cost = steps[j] + _SETTING * heads[j] + built + _ITEM * total
+        if cost < least:
+            best, least = a - j, cost
+    return best

@@ -6,6 +6,9 @@ row filling, so a systematic error in the dynamic programs would have to be
 reproduced here by coincidence to slip through.  Everything is exact and
 deliberately slow; keep the ranges small.
 
+walk_by_odometer is the enumeration as one odometer over all down steps,
+each word and diagram spliced from the one before.
+
 The two *_by_visits sweeps are the verify sweeps as they were before they
 kept one result per diagram: they redo every diagram at every visit, so a
 memo that dropped, reordered or repeated a failure would not match them.
@@ -49,6 +52,45 @@ def words_by_filter(a: int, b: int) -> list[str]:
 
 def count_by_filter(a: int, b: int) -> int:
     return len(words_by_filter(a, b))
+
+
+def walk_by_odometer(a: int, b: int, word: str, sep: str | None):
+    """Every (a,b)-Dyck path from ``word``, the first, as the library listed them
+    before it tabled the last down steps: one odometer over every down step.
+
+    ``enumerate_paths(a, b, sep=sep)`` must yield exactly these pairs, in this
+    order, whatever depth it tables.
+    """
+    # An odometer over the down-step positions, xs[i] running from xs[i-1] up
+    # to b*i // a: advance the last position below its bound to v and pull
+    # every later one up to v, the least each may take.  Word and diagram are
+    # both spliced from the ones before.  The word keeps everything up to down
+    # step i-1, which sits at xs[i-1] + i - 1, then runs right to v, steps down
+    # a - i times and runs right to b.  The diagram, bottom row first, is v
+    # repeated a - i times followed by the rows above down step i, which it
+    # keeps: they are the last kept[i] items of the one before.  A row is
+    # (v,) in a tuple, or the characters of sep + str(v) in text, which then
+    # drops its first sep.  Zero rows are never written, so none trail.
+    bounds = [b * i // a for i in range(a)]
+    xs = [0] * a
+    kept = [0] * a
+    rows = () if sep is None else ""
+    lead = 0 if sep is None else len(sep)
+    while True:
+        yield word, rows[lead:]
+        i = a - 1
+        while i and xs[i] == bounds[i]:
+            i -= 1
+        if not i:
+            return
+        x, v, n = xs[i - 1], xs[i] + 1, a - i
+        word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (b - v)
+        xs[i:] = [v] * n
+        row = (v,) if sep is None else f"{sep}{v}"
+        k = kept[i]
+        rows = row * n + rows[len(rows) - k :]
+        if n > 1:
+            kept[i + 1 :] = range(k + len(row), k + len(row) * n, len(row))
 
 
 def ballot_by_filter(a: int, b: int, k: int) -> int:

@@ -449,6 +449,29 @@ def test_enumerate_limit(capsys):
     assert err == "error: too many paths: 5 exceeds the cap of 4\n"
 
 
+def test_enumerate_refuses_a_huge_word_up_front():
+    # One path of 10**12 letters: refused before any word is built, so a child
+    # limited to 400 MiB of address space answers with exit 2 at once.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rectcat.cli", "enumerate", "1", "1000000000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.LETTER_CAP}\n"
+    )
+    assert elapsed < 1
+
+
 def test_enumerate_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("RECTCAT_MAX_ENUM", "4")
     code, _, err = run(capsys, "enumerate", "3", "3")

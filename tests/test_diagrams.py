@@ -9,8 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_by_filter, count_subdiagrams, subdiagrams_by_filter, words_by_filter
+from oracles import (
+    count_by_filter,
+    count_subdiagrams,
+    subdiagrams_by_filter,
+    walk_by_odometer,
+    words_by_filter,
+)
 from rectcat import (
+    TooManyLetters,
     TooManyPaths,
     as_diagram,
     catalan,
@@ -367,6 +374,68 @@ def test_enumerate_streams_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# Shapes whose chosen depths run from 0 (a long word, few paths) to deep
+# tables (a tall, narrow staircase).
+DEPTH_SHAPES = [(3, 177), (4, 67), (5, 37), (13, 9), (23, 6), (33, 5), (61, 4), (133, 3), (2, 3000)]
+FORMS = [None, ",", ", "]
+
+
+def reference(a, b, sep):
+    return list(walk_by_odometer(a, b, "0" * a + "1" * b, sep))
+
+
+@pytest.mark.parametrize("sep", FORMS, ids=["tuple", "comma", "comma-space"])
+def test_enumerate_matches_the_reference_walk(sep):
+    rects = [(a, b) for a in range(1, 10) for b in range(1, 14)] + DEPTH_SHAPES
+    for a, b in rects:
+        assert list(enumerate_paths(a, b, sep=sep)) == reference(a, b, sep), (a, b)
+
+
+def test_enumerate_chooses_several_depths():
+    depths = set()
+    for a, b in DEPTH_SHAPES:
+        bounds = [b * i // a for i in range(a)]
+        depths.add(diagrams._depth(a, b, bounds, count_rect(a, b)))
+    assert 0 in depths and len(depths) >= 4, depths
+
+
+def test_every_depth_matches_the_reference_walk(monkeypatch):
+    # Whatever depth the cost model picks, the paths are the same.
+    for a, b in [(1, 5), (4, 6), (6, 4), (5, 8), (9, 4), (7, 7)]:
+        for k in range(a):
+            monkeypatch.setattr(diagrams, "_depth", lambda *args: k)
+            for sep in FORMS:
+                assert list(enumerate_paths(a, b, sep=sep)) == reference(a, b, sep), (a, b, k)
+
+
+@pytest.mark.parametrize("a, b", [(3, 177), (13, 9), (23, 6), (61, 4), (3, 400)])
+def test_enumerate_tables_stay_small(a, b):
+    # The tables of completions are kept for the whole walk.  At 3x400 the
+    # letters budget, not the cost, keeps them out: unbounded, the cheapest
+    # depth holds 13 MiB of tables.
+    tracemalloc.start()
+    try:
+        for _ in enumerate_paths(a, b, sep=","):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_enumerate_refuses_past_the_letters_cap():
+    with pytest.raises(TooManyLetters) as exc:
+        enumerate_paths(1, 10**12)
+    assert exc.value.letters == 10**12 + 2
+    assert exc.value.cap == diagrams.LETTER_CAP
+    assert str(exc.value) == (
+        f"too many letters: {10**12 + 2} exceeds the cap of {diagrams.LETTER_CAP}"
+    )
+    # 15,001 words of 30,002 letters and a newline each: about 4.5e8 letters.
+    assert 15001 * 30003 <= diagrams.LETTER_CAP
+    next(enumerate_paths(2, 30000))
 
 
 def test_enumerate_cap_env(monkeypatch):
