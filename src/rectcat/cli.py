@@ -7,12 +7,14 @@ a single versioned JSON object; counts travel as decimal strings there, so
 no reader has to round-trip big integers through floats.  enumerate's count,
 bounded by its cap, is the one JSON integer among them.
 
-A handler returns (text lines, JSON results, failures).  decompose and
-enumerate build only the form that --json selects and leave the other None.
-The text lines may be any iterable, and main writes each as it comes.  A
-result value may be JSON text already written, in pieces that may come from
-a generator, which main copies into the report as it stands.  A handler
-raises every error before it returns, so a refusal writes nothing to stdout.
+A handler returns (text, JSON results, failures).  decompose and enumerate
+build only the form that --json selects and leave the other None.  The text
+may be any iterable of pieces, each one or more whole lines with their line
+ends, and main writes each piece as it comes; enumerate's pieces hold the
+paths of one odometer setting each, so main does no work per line.  A result
+value may be JSON text already written, in pieces that may come from a
+generator, which main copies into the report as it stands.  A handler raises
+every error before it returns, so a refusal writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -36,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 DEFAULT_CHECK_BOUND = 400
+# christoffel prints two numbers for each row below the top one, and refuses
+# a height with more of those rows than this.
+ROW_CAP = 10**6
 # json.dumps writes this string as "\u0000", which no other report value holds.
 _SPLICE = "\0"
 
@@ -136,7 +140,7 @@ def _cmd_count(args):
     count = _digits(value)
     if args.cache:
         _append_cache(args.cache, a, b, resolved, count, micros)
-    lines = [count] + [f"FAIL: {f}" for f in failures]
+    lines = [f"{count}\n"] + [f"FAIL: {f}\n" for f in failures]
     results = {
         "a": a,
         "b": b,
@@ -150,13 +154,16 @@ def _cmd_count(args):
 
 def _cmd_christoffel(args):
     a, b = args.a, args.b
+    diagrams.check_rect(a, b)
+    if a - 1 > ROW_CAP:
+        raise ValueError(f"too many rows: {a - 1} exceeds the cap of {ROW_CAP}")
     mu = diagrams.christoffel_diagram(a, b)
     q = christoffel.q_boxes(a, b)
     profile = [christoffel.delta(a, b, l) for l in range(1, a)]
     lines = [
-        f"rows: {diagrams.format_diagram(mu)}",
-        f"q: {q}",
-        f"delta: {','.join(str(d) for d in profile)}",
+        f"rows: {diagrams.format_diagram(mu)}\n",
+        f"q: {q}\n",
+        f"delta: {','.join(str(d) for d in profile)}\n",
     ]
     results = {"a": a, "b": b, "rows": list(mu), "q": q, "delta": profile}
     return lines, results, []
@@ -187,8 +194,8 @@ def _cmd_decompose(args):
             **stats,
         }
         return None, results, failures
-    lines = [f"expr: {decomposition.render(expr, args.format)}"]
-    lines += [f"{key}: {v}" for key, v in stats.items()] + [f"FAIL: {f}" for f in failures]
+    lines = [f"expr: {decomposition.render(expr, args.format)}\n"]
+    lines += [f"{key}: {v}\n" for key, v in stats.items()] + [f"FAIL: {f}\n" for f in failures]
     return lines, None, failures
 
 
@@ -203,33 +210,30 @@ def _cmd_enumerate(args):
         except ValueError:
             raise ValueError(f"RECTCAT_MAX_ENUM must be an integer, got {env!r}") from None
     # Every refusal comes from this call, before main writes anything.
-    paths = diagrams.enumerate_paths(args.a, args.b, cap, sep=", " if args.json else ",")
+    text = diagrams.enumerate_paths(args.a, args.b, cap, form="json" if args.json else "text")
     if not args.json:
-        return (f"{word} {mu}" if mu else word for word, mu in paths), None, []
-    # Each item leads with the ", " that json.dumps puts between list items,
-    # and the first item drops it.  The count sorts before the paths, so it
-    # is counted here rather than while they are written.
-    items = (f', {{"diagram": [{mu}], "word": "{word}"}}' for word, mu in paths)
-    pieces = itertools.chain(["[", next(items)[2:]], items, ["]"])
+        return text, None, []
+    # The count sorts before the paths, so it is counted here rather than
+    # while they are written.
     count = diagrams.count_rect(args.a, args.b)
-    return None, {"a": args.a, "b": args.b, "count": count, "paths": _Verbatim(pieces)}, []
+    return None, {"a": args.a, "b": args.b, "count": count, "paths": _Verbatim(text)}, []
 
 
 def _report_checks(checks):
     width = max(len(c.name) for c in checks)
     lines = [
-        f"{c.name:<{width}}  cells={c.cells:<7d} {'ok' if c.passed else 'FAIL'}"
+        f"{c.name:<{width}}  cells={c.cells:<7d} {'ok' if c.passed else 'FAIL'}\n"
         for c in checks
     ]
     failures = [f for c in checks for f in c.failures]
     if failures:
-        lines.append("counterexamples:")
-        lines.extend(f"  {f}" for f in failures[:10])
+        lines.append("counterexamples:\n")
+        lines.extend(f"  {f}\n" for f in failures[:10])
         if len(failures) > 10:
-            lines.append(f"  ... and {len(failures) - 10} more")
+            lines.append(f"  ... and {len(failures) - 10} more\n")
     total = sum(c.cells for c in checks)
     verdict = "PASS" if not failures else "FAIL"
-    lines.append(f"RESULT: {verdict} ({len(checks)} checks, {total} cells)")
+    lines.append(f"RESULT: {verdict} ({len(checks)} checks, {total} cells)\n")
     results = {
         "checks": [
             {"name": c.name, "cells": c.cells, "failures": c.failures[:10]}
@@ -270,12 +274,12 @@ def _cmd_expand(args):
     # Terms and width step share rectangles: count each once.
     oracle = functools.cache(diagrams.count_rect)
     terms, total, step, diff = verify.rule2_bridge(a, b, family, n, oracle)
-    lines = [f"family: {family} (a={a}, b={b}, n={n})"]
+    lines = [f"family: {family} (a={a}, b={b}, n={n})\n"]
     items = []
     for left, right, lc, rc in terms:
         lt, rt = _digits(lc), _digits(rc)
         lines.append(
-            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {_digits(lc * rc)}"
+            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {_digits(lc * rc)}\n"
         )
         items.append(
             {
@@ -289,9 +293,9 @@ def _cmd_expand(args):
     failures = []
     if total != diff:
         failures.append(f"term sum {total_text} differs from width step {diff_text}")
-    lines.append(f"sum: {total_text}")
-    lines.append(f"width step {step} = {diff_text}")
-    lines.append("RESULT: " + ("PASS" if not failures else "FAIL"))
+    lines.append(f"sum: {total_text}\n")
+    lines.append(f"width step {step} = {diff_text}\n")
+    lines.append(f"RESULT: {'PASS' if not failures else 'FAIL'}\n")
     results = {
         "a": a,
         "b": b,
@@ -322,7 +326,7 @@ def _cmd_formula(args):
         raise ValueError(f"{args.name} takes {arity} integers, got {len(args.values)}")
     value = _digits(fn(*args.values))
     results = {"name": args.name, "values": args.values, "result": value}
-    return [value], results, []
+    return [f"{value}\n"], results, []
 
 
 @functools.cache
@@ -465,9 +469,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             _print_report(report)
         else:
-            write = sys.stdout.write
-            for line in lines:
-                write(f"{line}\n")
+            sys.stdout.writelines(lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early.  Python flushes stdout again at exit, so point

@@ -27,13 +27,16 @@ a - k - 1, and the rows above it are spliced from the ones before: v
 repeated, bottom row first, followed by the rows above step i, kept as they
 were.  For the head's last position x, a table built when the walk starts
 holds every completion of the last k down steps: the rest of its word, and
-its rows.  So each path is two concatenations, head + tail and tail rows +
-head rows, made inside zip and map.  k is picked before any table is built,
-from the odometer's settings counted forward and the completions counted
-backward: the least cost of odometer steps plus table entries, every level
-of the tables counted, within a budget of letters held.  At k = 0 there is
-no table and each setting is a path.  The diagram comes as a tuple or, for a
-writer, as its rows' text.
+its rows.  A path as a tuple is two concatenations, head + tail and tail
+rows + head rows, made inside zip and map.  A path as text, a line or a
+JSON item, is written with all the other paths of its setting by one
+str.join over the table: the setting's rows and head stand between each
+two of the table's entries.  k is picked before any table is built, from
+the odometer's settings counted forward, a count that also gives the number
+of paths, and the completions counted backward: the least cost of odometer
+steps plus table entries, every level of the tables counted, within a
+budget of letters held.  At k = 0 there is no table and each setting is a
+path.
 """
 
 from __future__ import annotations
@@ -194,29 +197,60 @@ def count_rect(a: int, b: int) -> int:
     return count_paths(christoffel_diagram(a, b))
 
 
-def enumerate_paths(
-    a: int, b: int, cap: int = DEFAULT_ENUM_CAP, sep: str | None = None
-) -> Iterator[tuple[str, Diagram | str]]:
-    """Every (a,b)-Dyck path as ``(word, diagram)``, words in lexicographic order.
+# The separator between the rows' text in each line form; None is the tuple form.
+_ROW_SEPS = {None: None, "text": ",", "json": ", "}
 
-    Returns an iterator.  The call itself refuses: with TooManyPaths when the
+
+def enumerate_paths(
+    a: int, b: int, cap: int = DEFAULT_ENUM_CAP, form: str | None = None
+) -> Iterator[tuple[str, Diagram] | str]:
+    """Every (a,b)-Dyck path with its diagram, words in lexicographic order.
+
+    Returns an iterator of ``(word, diagram)`` pairs, or with ``form`` a line
+    form, of text in pieces of whole lines or items.  ``form="text"`` gives
+    one line per path: the word, a space and the rows joined by ",", and a
+    line end; the empty diagram's line is the word alone.  ``form="json"``
+    gives pieces that join to a JSON list of ``{"diagram": [rows], "word":
+    word}`` objects, spaced as json.dumps spaces them.  The call itself
+    refuses: with ValueError for any other form, with TooManyPaths when the
     count exceeds ``cap``, with OverflowError when the word is longer than
     Python can index, and with TooManyLetters when the words, with one more
     letter each for a line end, would hold more than LETTER_CAP letters.
-    With ``sep`` a string, each diagram comes as its rows' decimal text
-    joined by ``sep`` (the empty diagram as "") instead of a tuple.
     """
-    total = count_rect(a, b)
+    check_rect(a, b)
+    if form not in _ROW_SEPS:
+        raise ValueError(f"form must be None, 'text' or 'json', got {form!r}")
+    heads = _heads(a, b)
+    total = heads[-1]
     if total > cap:
         raise TooManyPaths(total, cap)
     "" * (a + b)  # a word Python cannot index raises OverflowError here
     letters = total * (a + b + 1)
     if letters > LETTER_CAP:
         raise TooManyLetters(letters, LETTER_CAP)
-    return _walk(a, b, total, sep)
+    return _walk(a, b, heads, form)
 
 
-def _walk(a: int, b: int, total: int, sep: str | None):
+def _heads(a: int, b: int) -> list[int]:
+    """The odometer's settings over the first p down steps, for p from z to a.
+
+    The first z = ceil(a/b) down steps sit at x = 0 on every path, so each
+    of those prefixes has one setting; they are left out, and so cost
+    nothing to count.  The last entry is the number of paths.  count_paths'
+    dynamic program, top row first: t[x] counts the settings whose last
+    position is x.
+    """
+    t = [1]
+    heads = []
+    for i in range(-(-a // b), a):
+        heads.append(sum(t))
+        t = list(accumulate(t))
+        t += [t[-1]] * (b * i // a + 1 - len(t))
+    heads.append(sum(t))
+    return heads
+
+
+def _walk(a: int, b: int, heads: list[int], form: str | None):
     # An odometer over the first p = a - k down-step positions, xs[i] running
     # from xs[i-1] up to b*i // a: advance the last position below its bound
     # to v and pull every later one up to v, the least each may take.  The
@@ -229,30 +263,47 @@ def _walk(a: int, b: int, total: int, sep: str | None):
     # are never written, so none trail.  At k = 0 each setting is a path: its
     # word also runs right to end = b (deeper, end - v < 0 writes nothing),
     # and its text drops the first sep.  Deeper, each setting is the head of
-    # every completion _tables holds for its last position x: the path is
-    # head + tail, and its rows the tail's, which carry no leading sep,
-    # followed by the setting's.
+    # every completion _tables holds for its last position x.  A tuple path
+    # is head + tail, and its rows the tail's, which carry no leading sep,
+    # followed by the setting's.  A line form joins the setting's paths in
+    # one step: between two of its glue entries stands the text that is the
+    # same for every path of the setting, its rows and then its head.
     bounds = [b * i // a for i in range(a)]
-    k = _depth(a, b, bounds, total)
+    k = _depth(a, b, bounds, heads)
     p = a - k
+    sep = _ROW_SEPS[form]
     if k:
-        words, tails = _tables(a, b, bounds, p, sep)
+        words, tails = _tables(a, b, bounds, p, form)
     end = 0 if k else b
     xs = [0] * p
     kept = [0] * p
     word = "0" * p + "1" * end
     rows = () if sep is None else ""
-    lead = 0 if sep is None or k else len(sep)
+    lead = "["
     while True:
-        if k:
-            x = xs[-1]
-            yield from zip(map(word.__add__, words[x]), map(add, tails[x], repeat(rows)))
+        if form is None:
+            if k:
+                x = xs[-1]
+                yield from zip(map(word.__add__, words[x]), map(add, tails[x], repeat(rows)))
+            else:
+                yield word, rows
+        elif form == "text":
+            if k:
+                yield word + (rows + "\n" + word).join(words[xs[-1]]) + rows + "\n"
+            else:
+                yield f"{word} {rows[1:]}\n" if rows else f"{word}\n"
+        elif k:
+            glue = (rows + '], "word": "' + word).join(words[xs[-1]])
+            yield lead + '{"diagram": [' + glue + '"}'
         else:
-            yield word, rows[lead:]
+            yield f'{lead}{{"diagram": [{rows[2:]}], "word": "{word}"}}'
+        lead = ", "
         i = p - 1
         while i and xs[i] == bounds[i]:
             i -= 1
         if not i:
+            if form == "json":
+                yield "]"
             return
         x, v, n = xs[i - 1], xs[i] + 1, p - i
         word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (end - v)
@@ -264,17 +315,30 @@ def _walk(a: int, b: int, total: int, sep: str | None):
             kept[i + 1 :] = range(held + len(row), held + len(row) * n, len(row))
 
 
-def _tables(a: int, b: int, bounds: list[int], p: int, sep: str | None):
-    # The completions of down steps p..a-1 for each position x of step p-1:
-    # words[x] holds the rest of each word, tails[x] its rows, bottom row
-    # first, in lexicographic order.  Built one level j at a time from the
-    # last step up.  An entry of level j for y = xs[j-1] is, for v = xs[j]
-    # from y up: "0" followed by an entry of level j+1 for v, when v = y;
-    # otherwise "1" followed by an entry of level j for y + 1.  Its rows are
-    # those of the level below followed by row v, which is never written
-    # when zero.  Only the level being built and the one below it are held.
-    words = [["1" * (b - y)] for y in range(bounds[-1] + 1)]
-    tails = [[() if sep is None else ""]] * len(words)
+def _tables(a: int, b: int, bounds: list[int], p: int, form: str | None):
+    # The completions of down steps p..a-1 for each position x of step p-1,
+    # in lexicographic order, built one level j at a time from the last step
+    # up.  An entry of level j for y = xs[j-1] is, for v = xs[j] from y up:
+    # "0" followed by an entry of level j+1 for v, when v = y; otherwise "1"
+    # followed by an entry of level j for y + 1.  Its rows are those of the
+    # level below followed by row v, which is never written when zero.  Only
+    # the level being built and the one below it are held.  In the tuple
+    # form words[x] holds the rest of each word and tails[x] its rows,
+    # bottom row first.  A line form holds instead the glue _walk joins,
+    # which is text, rests of words before rows with no leading sep, so each
+    # level prepends its letter and appends its row in place; its tails are
+    # empty.
+    # In text a glue entry is one path's rest of the word, a space and its
+    # rows; the empty diagram's, only ever the first path's, has no space.
+    # In JSON the rows come before the word, so an entry is one path's rest
+    # of the word and the next path's rows: the first entry is the first
+    # path's rows, and the last the last path's rest of the word.
+    sep = _ROW_SEPS[form]
+    words = [
+        ["", "1" * (b - y)] if form == "json" else ["1" * (b - y) + (" " if sep else "")]
+        for y in range(bounds[-1] + 1)
+    ]
+    tails = [[()]] * len(words)
     for j in range(a - 1, p - 1, -1):
         ws, ts = [], []
         level_words, level_tails = [], []
@@ -285,11 +349,24 @@ def _tables(a: int, b: int, bounds: list[int], p: int, sep: str | None):
                 row = (y,)
             else:
                 row = f"{sep}{y}" if j < a - 1 else str(y)
-            ws = [*map("0".__add__, words[y]), *map("1".__add__, ws)]
-            ts = [*map(add, tails[y], repeat(row)), *ts]
+            below = words[y]
+            if sep is None:
+                ws = [*map("0".__add__, below), *map("1".__add__, ws)]
+                ts = [*map(add, tails[y], repeat(row)), *ts]
+                level_tails.append(ts)
+            elif form == "text":
+                ws = [*map(add, map("0".__add__, below), repeat(row)), *map("1".__add__, ws)]
+            else:
+                ws = [
+                    below[0] + row,
+                    *map(add, map("0".__add__, below[1:-1]), repeat(row)),
+                    "0" + below[-1] + ('"}, {"diagram": [' + ws[0] if ws else ""),
+                    *map("1".__add__, ws[1:]),
+                ]
             level_words.append(ws)
-            level_tails.append(ts)
         words, tails = level_words[::-1], level_tails[::-1]
+    if form == "text":
+        words[0][0] = words[0][0][:-1]
     return words, tails
 
 
@@ -303,30 +380,28 @@ _PATH, _SETTING, _ITEM, _TABLE = 8, 15, 1, 8
 _TABLE_LETTERS = 3 * 2**20
 
 
-def _depth(a: int, b: int, bounds: list[int], total: int) -> int:
+def _depth(a: int, b: int, bounds: list[int], heads: list[int]) -> int:
     """How many down steps _walk takes from tables: the k of least cost.
 
-    Counting costs up to about 4 * _TABLE a level each way.  The answer is
-    0 without counting when that is more than the tables could save, which
-    is _PATH - _ITEM and fewer than a odometer steps on each path, and when
-    the last level alone breaks the budget: its (m + 1) * m / 2 entries for
+    ``heads`` is _heads' forward count, whose last entry is the number of
+    paths.  Counting backward costs up to about 4 * _TABLE a level.  The
+    answer is 0 without it when 8 * _TABLE a level, a generous bound on
+    that cost, is more than the tables could save, which is _PATH - _ITEM
+    and fewer than a odometer steps on each path, and when the last level
+    alone breaks the budget: its (m + 1) * m / 2 entries for
     m = bounds[-1] + 1 are each charged at least b + 102 - m letters.
     """
+    total = heads[-1]
     m = bounds[-1] + 1
     if (a + _PATH - _ITEM) * total <= 8 * _TABLE * a:
         return 0
     if (m + 1) * m // 2 * (b + 102 - m) > _TABLE_LETTERS:
         return 0
     # Forward: heads[p] odometer settings over the first p down steps, the
-    # prefixes of length p; each writes position p - 1, so steps[p], their
-    # running sum, counts the positions written.
-    heads = [0]
-    t = [1]
-    for i in range(1, a):
-        heads.append(sum(t))
-        t = list(accumulate(t))
-        t += [t[-1]] * (bounds[i] + 1 - len(t))
-    heads.append(total)
+    # prefixes of length p, one each for the steps _heads leaves out; each
+    # writes position p - 1, so steps[p], their running sum, counts the
+    # positions written.
+    heads = [0, *repeat(1, a - len(heads)), *heads]
     steps = list(accumulate(heads))
     # Backward, while the budget holds and the tables alone cost less than
     # the best depth so far: n[y] completions of down steps j..a-1 after

@@ -7,10 +7,10 @@ sweep check_vs_oracle, which run_verify feeds a stream of cases per route: a
 rectangle and the route call that must match the oracle there.  run_verify
 builds one cache of the rectangle oracle when it is called and hands it to
 every route-vs-oracle check and both rule2 checks, so these checks count
-each rectangle once; only enumerate_paths, sizing each rectangle of the two
-sweeps for its cap, counts on its own.  All library calls go through the
-module objects, which keeps the checks honest under fault injection in
-tests.  The split-contract and decomposition sweeps meet a few hundred
+each rectangle once; enumerate_paths, in the two sweeps, sizes each
+rectangle with the forward count of its own walk.  All library calls go
+through the module objects, which keeps the checks honest under fault
+injection in tests.  The split-contract and decomposition sweeps meet a few hundred
 diagrams thousands of times, so for the length of one call each caches the
 oracle it finds on the module and keeps what each diagram contributes: its
 corner cells and counterexamples, or its decomposition value.  A repeat

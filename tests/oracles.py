@@ -54,12 +54,12 @@ def count_by_filter(a: int, b: int) -> int:
     return len(words_by_filter(a, b))
 
 
-def walk_by_odometer(a: int, b: int, word: str, sep: str | None):
+def walk_by_odometer(a: int, b: int, word: str):
     """Every (a,b)-Dyck path from ``word``, the first, as the library listed them
     before it tabled the last down steps: one odometer over every down step.
 
-    ``enumerate_paths(a, b, sep=sep)`` must yield exactly these pairs, in this
-    order, whatever depth it tables.
+    ``enumerate_paths(a, b)`` must yield exactly these pairs, in this order,
+    whatever depth it tables, and its line forms the same paths as text.
     """
     # An odometer over the down-step positions, xs[i] running from xs[i-1] up
     # to b*i // a: advance the last position below its bound to v and pull
@@ -68,16 +68,14 @@ def walk_by_odometer(a: int, b: int, word: str, sep: str | None):
     # step i-1, which sits at xs[i-1] + i - 1, then runs right to v, steps down
     # a - i times and runs right to b.  The diagram, bottom row first, is v
     # repeated a - i times followed by the rows above down step i, which it
-    # keeps: they are the last kept[i] items of the one before.  A row is
-    # (v,) in a tuple, or the characters of sep + str(v) in text, which then
-    # drops its first sep.  Zero rows are never written, so none trail.
+    # keeps: they are the last kept[i] items of the one before.  Zero rows are
+    # never written, so none trail.
     bounds = [b * i // a for i in range(a)]
     xs = [0] * a
     kept = [0] * a
-    rows = () if sep is None else ""
-    lead = 0 if sep is None else len(sep)
+    rows = ()
     while True:
-        yield word, rows[lead:]
+        yield word, rows
         i = a - 1
         while i and xs[i] == bounds[i]:
             i -= 1
@@ -86,11 +84,10 @@ def walk_by_odometer(a: int, b: int, word: str, sep: str | None):
         x, v, n = xs[i - 1], xs[i] + 1, a - i
         word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (b - v)
         xs[i:] = [v] * n
-        row = (v,) if sep is None else f"{sep}{v}"
         k = kept[i]
-        rows = row * n + rows[len(rows) - k :]
+        rows = (v,) * n + rows[len(rows) - k :]
         if n > 1:
-            kept[i + 1 :] = range(k + len(row), k + len(row) * n, len(row))
+            kept[i + 1 :] = range(k + 1, k + n)
 
 
 def ballot_by_filter(a: int, b: int, k: int) -> int:

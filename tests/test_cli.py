@@ -218,6 +218,29 @@ def test_christoffel_output(capsys):
     assert run(capsys, "christoffel", "1", "5") == (0, "rows: \nq: 0\ndelta: \n", "")
 
 
+def test_christoffel_refuses_a_huge_height_up_front():
+    # About 2 * 10**9 numbers to print: refused before any row is built.
+    proc, elapsed = run_limited("christoffel", "1000000000", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: too many rows: 999999999 exceeds the cap of {cli.ROW_CAP}\n"
+    assert elapsed < 1
+
+
+def test_christoffel_row_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROW_CAP", 5)
+    assert run(capsys, "christoffel", "6", "9")[0] == 0
+    for json_flag in ([], ["--json"]):
+        assert run(capsys, "christoffel", "7", "9", *json_flag) == (
+            2, "", "error: too many rows: 6 exceeds the cap of 5\n",
+        )
+    # A bad rectangle is still reported as one, and width costs nothing.
+    assert run(capsys, "christoffel", "0", "9")[2].startswith("error: rectangle sides")
+    monkeypatch.undo()
+    assert run(capsys, "christoffel", "3", "1000000000") == (
+        0, "rows: 666666666,333333333\nq: 999999999\ndelta: 0,0\n", "",
+    )
+
+
 def test_christoffel_json(capsys):
     code, out, _ = run(capsys, "christoffel", "6", "9", "--json")
     assert code == 0
@@ -449,9 +472,8 @@ def test_enumerate_limit(capsys):
     assert err == "error: too many paths: 5 exceeds the cap of 4\n"
 
 
-def test_enumerate_refuses_a_huge_word_up_front():
-    # One path of 10**12 letters: refused before any word is built, so a child
-    # limited to 400 MiB of address space answers with exit 2 at once.
+def run_limited(*argv):
+    """Run the CLI in a child limited to 400 MiB of address space: (process, seconds)."""
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -460,11 +482,17 @@ def test_enumerate_refuses_a_huge_word_up_front():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "rectcat.cli", "enumerate", "1", "1000000000000"],
+        [sys.executable, "-m", "rectcat.cli", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src},
     )
-    elapsed = time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+def test_enumerate_refuses_a_huge_word_up_front():
+    # One path of 10**12 letters: refused before any word is built, so a child
+    # limited to 400 MiB of address space answers with exit 2 at once.
+    proc, elapsed = run_limited("enumerate", "1", "1000000000000")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.LETTER_CAP}\n"

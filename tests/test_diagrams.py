@@ -1,5 +1,6 @@
 """Diagram encoding, the word bijection, the counting DP, and enumeration."""
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction
@@ -347,58 +348,101 @@ def test_enumerate_cap():
 
 
 def test_enumerate_refuses_when_called():
-    # Both refusals come from the call itself, not from the first next().
+    # Every refusal comes from the call itself, not from the first next().
     with pytest.raises(TooManyPaths):
         enumerate_paths(4, 4, cap=10)
     with pytest.raises(OverflowError):
         enumerate_paths(1, 10**20)
+    with pytest.raises(OverflowError):
+        enumerate_paths(10**20, 1)
+    with pytest.raises(ValueError, match="^form must be None, 'text' or 'json', got ','$"):
+        enumerate_paths(2, 2, form=",")
 
 
 def test_spliced_diagrams_are_the_words_diagrams():
-    # Each diagram is spliced from the one before; both forms must be the word's own.
+    # Each diagram is spliced from the one before; every form must give the word's own.
     rects = [(a, b) for a in range(1, 9) for b in range(1, 13)] + LONG_RECTANGLES
     for a, b in rects:
-        texts = enumerate_paths(a, b, sep=",")
-        for (word, mu), (same, text) in zip(enumerate_paths(a, b), texts, strict=True):
+        pairs = list(enumerate_paths(a, b))
+        for word, mu in pairs:
             assert mu == word_to_diagram(a, b, word)
-            assert (same, text) == (word, format_diagram(mu))
+        lines = "".join(enumerate_paths(a, b, form="text")).splitlines()
+        assert [line.split(" ")[0] for line in lines] == [word for word, _ in pairs]
+        assert [parse_diagram(line.partition(" ")[2]) for line in lines] == [mu for _, mu in pairs]
+        items = json.loads("".join(enumerate_paths(a, b, form="json")))
+        assert [(item["word"], tuple(item["diagram"])) for item in items] == pairs
+
+
+def traced_peak(a, b, form):
+    """The most memory traced while enumerate_paths(a, b, form=form) is consumed."""
+    tracemalloc.start()
+    try:
+        for _ in enumerate_paths(a, b, form=form):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_enumerate_streams_in_constant_memory():
     # 15,001 words of 30,002 letters, about 450 MB if all were held at once.
-    tracemalloc.start()
-    try:
-        for _ in enumerate_paths(2, 30000):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for form in ["text", "json"]:
+        assert traced_peak(2, 30000, form) < 4 * 2**20, form
 
 
 # Shapes whose chosen depths run from 0 (a long word, few paths) to deep
 # tables (a tall, narrow staircase).
 DEPTH_SHAPES = [(3, 177), (4, 67), (5, 37), (13, 9), (23, 6), (33, 5), (61, 4), (133, 3), (2, 3000)]
-FORMS = [None, ",", ", "]
+FORMS = [None, "text", "json"]
 
 
-def reference(a, b, sep):
-    return list(walk_by_odometer(a, b, "0" * a + "1" * b, sep))
+def listed(a, b, form):
+    """enumerate_paths' pairs as a list, or its line form's pieces joined.
+
+    Every text piece is whole lines, so it ends with a line end.
+    """
+    pieces = list(enumerate_paths(a, b, form=form))
+    if form == "text":
+        assert all(piece.endswith("\n") for piece in pieces), (a, b)
+    return pieces if form is None else "".join(pieces)
 
 
-@pytest.mark.parametrize("sep", FORMS, ids=["tuple", "comma", "comma-space"])
-def test_enumerate_matches_the_reference_walk(sep):
+def reference(a, b, form):
+    """The reference walk's pairs, or the text of the line form written from them."""
+    pairs = list(walk_by_odometer(a, b, "0" * a + "1" * b))
+    if form is None:
+        return pairs
+    if form == "text":
+        return "".join(f"{w} {','.join(map(str, mu))}\n" if mu else f"{w}\n" for w, mu in pairs)
+    return json.dumps([{"diagram": list(mu), "word": w} for w, mu in pairs])
+
+
+@pytest.mark.parametrize("form", FORMS, ids=["tuple", "text", "json"])
+def test_enumerate_matches_the_reference_walk(form):
     rects = [(a, b) for a in range(1, 10) for b in range(1, 14)] + DEPTH_SHAPES
     for a, b in rects:
-        assert list(enumerate_paths(a, b, sep=sep)) == reference(a, b, sep), (a, b)
+        assert listed(a, b, form) == reference(a, b, form), (a, b)
 
 
 def test_enumerate_chooses_several_depths():
     depths = set()
     for a, b in DEPTH_SHAPES:
         bounds = [b * i // a for i in range(a)]
-        depths.add(diagrams._depth(a, b, bounds, count_rect(a, b)))
+        depths.add(diagrams._depth(a, b, bounds, diagrams._heads(a, b)))
     assert 0 in depths and len(depths) >= 4, depths
+
+
+def test_enumerate_counts_once(monkeypatch):
+    # One forward count sizes the walk and gives the cap its count: the
+    # number of paths is its last entry, and enumerate_paths asks count_paths
+    # nothing.
+    for a in range(1, 10):
+        for b in range(1, 14):
+            assert diagrams._heads(a, b)[-1] == count_rect(a, b), (a, b)
+    monkeypatch.setattr(diagrams, "count_paths", None)
+    with pytest.raises(TooManyPaths, match="^too many paths: 227 exceeds the cap of 226$"):
+        enumerate_paths(6, 8, cap=226)
+    assert len(list(enumerate_paths(13, 9))) == 22610
 
 
 def test_every_depth_matches_the_reference_walk(monkeypatch):
@@ -406,8 +450,8 @@ def test_every_depth_matches_the_reference_walk(monkeypatch):
     for a, b in [(1, 5), (4, 6), (6, 4), (5, 8), (9, 4), (7, 7)]:
         for k in range(a):
             monkeypatch.setattr(diagrams, "_depth", lambda *args: k)
-            for sep in FORMS:
-                assert list(enumerate_paths(a, b, sep=sep)) == reference(a, b, sep), (a, b, k)
+            for form in FORMS:
+                assert listed(a, b, form) == reference(a, b, form), (a, b, k)
 
 
 @pytest.mark.parametrize("a, b", [(3, 177), (13, 9), (23, 6), (61, 4), (3, 400)])
@@ -415,14 +459,8 @@ def test_enumerate_tables_stay_small(a, b):
     # The tables of completions are kept for the whole walk.  At 3x400 the
     # letters budget, not the cost, keeps them out: unbounded, the cheapest
     # depth holds 13 MiB of tables.
-    tracemalloc.start()
-    try:
-        for _ in enumerate_paths(a, b, sep=","):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for form in ["text", "json"]:
+        assert traced_peak(a, b, form) < 4 * 2**20, form
 
 
 def test_enumerate_refuses_past_the_letters_cap():

@@ -64,9 +64,9 @@ def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
 
 
 def test_route_checks_share_one_oracle(monkeypatch):
-    # The rule2 checks take the run's oracle too, so the run asks count_rect
-    # once per distinct rectangle, plus enumerate_paths sizing each of the
-    # 6 * 8 split-sweep and 5 * 7 decomposition-sweep rectangles.
+    # The rule2 checks take the run's oracle too, and enumerate_paths sizes
+    # its walk with its own count, so the run asks count_rect once per
+    # distinct rectangle.
     count_rect, asked = diagrams.count_rect, []
 
     def spy(a, b):
@@ -77,7 +77,7 @@ def test_route_checks_share_one_oracle(monkeypatch):
     checks = verify.run_verify(8, 10, 4, 3)
     assert all(c.passed for c in checks)
     assert len(set(asked)) == 113
-    assert len(asked) == 113 + 6 * 8 + 5 * 7
+    assert len(asked) == 113
 
     monkeypatch.setattr(diagrams, "count_rect", lambda a, b: count_rect(a, b) + 1)
     faulty = verify.run_verify(8, 10, 4, 3)
