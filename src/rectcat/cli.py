@@ -271,9 +271,12 @@ def _cmd_expand(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
     family, _, n = _theorem_fit(a, b)
-    # Terms and width step share rectangles: count each once.
-    oracle = functools.cache(diagrams.count_rect)
-    terms, total, step, diff = verify.rule2_bridge(a, b, family, n, oracle)
+    # Every term is coprime, and so is one side of the width step; the other,
+    # like (a, b), has gcd 2.  Terms and step share rectangles: count each once.
+    count = functools.cache(
+        lambda a, b: (formulas.coprime_catalan if gcd(a, b) == 1 else bizley.bizley_count)(a, b)
+    )
+    terms, total, step, diff = verify.rule2_bridge(a, b, family, n, count)
     lines = [f"family: {family} (a={a}, b={b}, n={n})\n"]
     items = []
     for left, right, lc, rc in terms:

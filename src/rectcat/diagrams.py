@@ -19,24 +19,23 @@ diagram belongs to some (a,b)-path exactly when it fits inside the staircase.
 
 count_paths is the counting oracle for the whole package: a row-by-row
 dynamic program over sub-diagrams, exact in arbitrary-precision integers.
+Read row by row, the same prefix sums count the odometer's settings below.
 
-enumerate_paths streams every path as a head and a tail.  An odometer runs
-over the first a - k positions of xs.  Each step raises one down step i to v
-and pulls the later ones up to v, so each head, the word up to down step
-a - k - 1, and the rows above it are spliced from the ones before: v
-repeated, bottom row first, followed by the rows above step i, kept as they
-were.  For the head's last position x, a table built when the walk starts
-holds every completion of the last k down steps: the rest of its word, and
-its rows.  A path as a tuple is two concatenations, head + tail and tail
-rows + head rows, made inside zip and map.  A path as text, a line or a
-JSON item, is written with all the other paths of its setting by one
-str.join over the table: the setting's rows and head stand between each
-two of the table's entries.  k is picked before any table is built, from
-the odometer's settings counted forward, a count that also gives the number
-of paths, and the completions counted backward: the least cost of odometer
-steps plus table entries, every level of the tables counted, within a
-budget of letters held.  At k = 0 there is no table and each setting is a
-path.
+enumerate_paths streams every path.  An odometer runs over the first a - k
+positions of xs.  Each step raises one down step i to v and pulls the later
+ones up to v, so each head, the word up to down step a - k - 1, and the rows
+above it are spliced from the ones before: v repeated, bottom row first,
+followed by the rows above step i, kept as they were.  A path as a tuple is
+one odometer setting: k = 0, and the head is the whole word.  A path as
+text, a line or a JSON item, is written with all the other paths of its
+setting by one str.join over a table built when the walk starts, which holds,
+for the head's last position x, every completion of the last k down steps as
+text: the setting's rows and head stand between each two of the table's
+entries.  k is picked before any table is built, from the odometer's
+settings counted forward, a count that also gives the number of paths, and
+the completions counted backward: the least cost of odometer steps plus
+table entries, every level of the tables counted, within a budget of letters
+held.  At k = 0 there is no table and each setting is a path.
 """
 
 from __future__ import annotations
@@ -174,22 +173,31 @@ def count_paths(mu) -> int:
     """Number of staircase diagrams contained in ``mu``.
 
     Equivalently, the number of monotone paths fitting weakly under the
-    staircase.  Row-by-row dynamic program: processing rows from the top
-    down, t[x] holds the number of fillings of the rows seen so far whose
-    current row has exactly x boxes.  A row of x boxes sits under any row
-    above it of at most x boxes, so the next row's table is the prefix sums
-    of t.  Going down, row lengths weakly increase, so the next row is never
-    shorter than t; its entries past the end of t hold the full sum, which
-    is the last prefix sum repeated.  Exact integer arithmetic throughout.
+    staircase: the last count _fillings gives over mu's rows, top row first.
     """
-    mu = as_diagram(mu)
-    if not mu:
-        return 1
-    t = [1] * (mu[-1] + 1)
-    for length in mu[-2::-1]:
+    for total in _fillings(as_diagram(mu)[::-1]):
+        pass
+    return total
+
+
+def _fillings(rows):
+    """The row-by-row dynamic program over ``rows``, given top row first.
+
+    t[x] holds the number of fillings of the rows seen so far whose current
+    row has exactly x boxes, starting from one empty row above the first.  A
+    row of x boxes sits under any row above it of at most x boxes, so the
+    next row's table is the prefix sums of t.  Going down, row lengths weakly
+    increase, so the next row is never shorter than t; its entries past the
+    end of t hold the full sum, which is the last prefix sum repeated.  Yields
+    the number of fillings of the rows above each row, then of all of them.
+    Exact integer arithmetic throughout.
+    """
+    t = [1]
+    for length in rows:
         t = list(accumulate(t))
+        yield t[-1]
         t += [t[-1]] * (length + 1 - len(t))
-    return sum(t)
+    yield sum(t)
 
 
 def count_rect(a: int, b: int) -> int:
@@ -236,57 +244,48 @@ def _heads(a: int, b: int) -> list[int]:
 
     The first z = ceil(a/b) down steps sit at x = 0 on every path, so each
     of those prefixes has one setting; they are left out, and so cost
-    nothing to count.  The last entry is the number of paths.  count_paths'
-    dynamic program, top row first: t[x] counts the settings whose last
-    position is x.
+    nothing to count.  The last entry is the number of paths.  The settings
+    over the first p steps are the fillings of the rows above step p, the
+    bounds of positions z - 1 to p - 1, and the first of those is empty.
     """
-    t = [1]
-    heads = []
-    for i in range(-(-a // b), a):
-        heads.append(sum(t))
-        t = list(accumulate(t))
-        t += [t[-1]] * (b * i // a + 1 - len(t))
-    heads.append(sum(t))
-    return heads
+    return list(_fillings(b * i // a for i in range(-(-a // b), a)))
 
 
 def _walk(a: int, b: int, heads: list[int], form: str | None):
     # An odometer over the first p = a - k down-step positions, xs[i] running
     # from xs[i-1] up to b*i // a: advance the last position below its bound
     # to v and pull every later one up to v, the least each may take.  The
-    # word and the rows are both spliced from the ones before.  The word keeps
-    # everything up to down step i-1, which sits at xs[i-1] + i - 1, then
-    # runs right to v and steps down p - i times.  The rows, bottom row
+    # first z = ceil(a/b) positions have bound 0 and never move, so the lists
+    # hold positions from lo = min(z, p) - 1 on: item i is position lo + i.
+    # The word and the rows are both spliced from the ones before.  The word
+    # keeps everything up to down step i-1, which sits at xs[i-1] + i - 1,
+    # then runs right to v and steps down p - i times.  The rows, bottom row
     # first, are v repeated p - i times followed by the rows above down step
     # i, which they keep: the last kept[i] items of the ones before.  A row is
     # (v,) in a tuple, or the characters of sep + str(v) in text.  Zero rows
-    # are never written, so none trail.  At k = 0 each setting is a path: its
-    # word also runs right to end = b (deeper, end - v < 0 writes nothing),
-    # and its text drops the first sep.  Deeper, each setting is the head of
-    # every completion _tables holds for its last position x.  A tuple path
-    # is head + tail, and its rows the tail's, which carry no leading sep,
-    # followed by the setting's.  A line form joins the setting's paths in
-    # one step: between two of its glue entries stands the text that is the
-    # same for every path of the setting, its rows and then its head.
-    bounds = [b * i // a for i in range(a)]
-    k = _depth(a, b, bounds, heads)
+    # are never written, so none trail.  At k = 0, always so in the tuple
+    # form, each setting is a path: its word also runs right to end = b
+    # (deeper, end - v < 0 writes nothing), and its text drops the first sep.
+    # Deeper, each setting is the head of every completion _tables holds for
+    # its last position x, and a line form joins the setting's paths in one
+    # step: between two of its glue entries stands the text that is the same
+    # for every path of the setting, its rows and then its head.
+    k = 0 if form is None else _depth(a, b, heads)
     p = a - k
+    lo = min(-(-a // b), p) - 1
+    bounds = [b * i // a for i in range(lo, p)]
     sep = _ROW_SEPS[form]
     if k:
-        words, tails = _tables(a, b, bounds, p, form)
+        words = _tables(a, b, p, form)
     end = 0 if k else b
-    xs = [0] * p
-    kept = [0] * p
+    xs = [0] * len(bounds)
+    kept = xs.copy()
     word = "0" * p + "1" * end
     rows = () if sep is None else ""
     lead = "["
     while True:
         if form is None:
-            if k:
-                x = xs[-1]
-                yield from zip(map(word.__add__, words[x]), map(add, tails[x], repeat(rows)))
-            else:
-                yield word, rows
+            yield word, rows
         elif form == "text":
             if k:
                 yield word + (rows + "\n" + word).join(words[xs[-1]]) + rows + "\n"
@@ -298,15 +297,15 @@ def _walk(a: int, b: int, heads: list[int], form: str | None):
         else:
             yield f'{lead}{{"diagram": [{rows[2:]}], "word": "{word}"}}'
         lead = ", "
-        i = p - 1
+        i = len(xs) - 1
         while i and xs[i] == bounds[i]:
             i -= 1
         if not i:
             if form == "json":
                 yield "]"
             return
-        x, v, n = xs[i - 1], xs[i] + 1, p - i
-        word = word[: x + i] + "1" * (v - x) + "0" * n + "1" * (end - v)
+        x, v, n = xs[i - 1], xs[i] + 1, len(xs) - i
+        word = word[: x + lo + i] + "1" * (v - x) + "0" * n + "1" * (end - v)
         xs[i:] = [v] * n
         row = (v,) if sep is None else f"{sep}{v}"
         held = kept[i]
@@ -315,19 +314,16 @@ def _walk(a: int, b: int, heads: list[int], form: str | None):
             kept[i + 1 :] = range(held + len(row), held + len(row) * n, len(row))
 
 
-def _tables(a: int, b: int, bounds: list[int], p: int, form: str | None):
+def _tables(a: int, b: int, p: int, form: str):
     # The completions of down steps p..a-1 for each position x of step p-1,
-    # in lexicographic order, built one level j at a time from the last step
-    # up.  An entry of level j for y = xs[j-1] is, for v = xs[j] from y up:
-    # "0" followed by an entry of level j+1 for v, when v = y; otherwise "1"
-    # followed by an entry of level j for y + 1.  Its rows are those of the
-    # level below followed by row v, which is never written when zero.  Only
-    # the level being built and the one below it are held.  In the tuple
-    # form words[x] holds the rest of each word and tails[x] its rows,
-    # bottom row first.  A line form holds instead the glue _walk joins,
-    # which is text, rests of words before rows with no leading sep, so each
-    # level prepends its letter and appends its row in place; its tails are
-    # empty.
+    # in lexicographic order, as the glue _walk joins: text, rests of words
+    # before rows with no leading sep.  They are built one level j at a time
+    # from the last step up.  An entry of level j for y = xs[j-1] is, for
+    # v = xs[j] from y up: "0" followed by an entry of level j+1 for v, when
+    # v = y; otherwise "1" followed by an entry of level j for y + 1.  So each
+    # level prepends its letter and appends its row v in place, which is
+    # never written when zero.  Only the level being built and the one below
+    # it are held.
     # In text a glue entry is one path's rest of the word, a space and its
     # rows; the empty diagram's, only ever the first path's, has no space.
     # In JSON the rows come before the word, so an entry is one path's rest
@@ -335,26 +331,15 @@ def _tables(a: int, b: int, bounds: list[int], p: int, form: str | None):
     # path's rows, and the last the last path's rest of the word.
     sep = _ROW_SEPS[form]
     words = [
-        ["", "1" * (b - y)] if form == "json" else ["1" * (b - y) + (" " if sep else "")]
-        for y in range(bounds[-1] + 1)
+        ["", "1" * (b - y)] if form == "json" else ["1" * (b - y) + " "]
+        for y in range(b * (a - 1) // a + 1)
     ]
-    tails = [[()]] * len(words)
     for j in range(a - 1, p - 1, -1):
-        ws, ts = [], []
-        level_words, level_tails = [], []
-        for y in range(bounds[j], -1, -1):
-            if not y:
-                row = () if sep is None else ""
-            elif sep is None:
-                row = (y,)
-            else:
-                row = f"{sep}{y}" if j < a - 1 else str(y)
+        ws, level = [], []
+        for y in range(b * j // a, -1, -1):
+            row = (f"{sep}{y}" if j < a - 1 else str(y)) if y else ""
             below = words[y]
-            if sep is None:
-                ws = [*map("0".__add__, below), *map("1".__add__, ws)]
-                ts = [*map(add, tails[y], repeat(row)), *ts]
-                level_tails.append(ts)
-            elif form == "text":
+            if form == "text":
                 ws = [*map(add, map("0".__add__, below), repeat(row)), *map("1".__add__, ws)]
             else:
                 ws = [
@@ -363,11 +348,11 @@ def _tables(a: int, b: int, bounds: list[int], p: int, form: str | None):
                     "0" + below[-1] + ('"}, {"diagram": [' + ws[0] if ws else ""),
                     *map("1".__add__, ws[1:]),
                 ]
-            level_words.append(ws)
-        words, tails = level_words[::-1], level_tails[::-1]
+            level.append(ws)
+        words = level[::-1]
     if form == "text":
         words[0][0] = words[0][0][:-1]
-    return words, tails
+    return words
 
 
 # The walk's costs, fitted to its times, in units of one table entry built,
@@ -380,7 +365,7 @@ _PATH, _SETTING, _ITEM, _TABLE = 8, 15, 1, 8
 _TABLE_LETTERS = 3 * 2**20
 
 
-def _depth(a: int, b: int, bounds: list[int], heads: list[int]) -> int:
+def _depth(a: int, b: int, heads: list[int]) -> int:
     """How many down steps _walk takes from tables: the k of least cost.
 
     ``heads`` is _heads' forward count, whose last entry is the number of
@@ -389,40 +374,43 @@ def _depth(a: int, b: int, bounds: list[int], heads: list[int]) -> int:
     that cost, is more than the tables could save, which is _PATH - _ITEM
     and fewer than a odometer steps on each path, and when the last level
     alone breaks the budget: its (m + 1) * m / 2 entries for
-    m = bounds[-1] + 1 are each charged at least b + 102 - m letters.
+    m = b*(a-1)//a + 1 are each charged at least b + 102 - m letters.
     """
     total = heads[-1]
-    m = bounds[-1] + 1
+    m = b * (a - 1) // a + 1
     if (a + _PATH - _ITEM) * total <= 8 * _TABLE * a:
         return 0
     if (m + 1) * m // 2 * (b + 102 - m) > _TABLE_LETTERS:
         return 0
-    # Forward: heads[p] odometer settings over the first p down steps, the
-    # prefixes of length p, one each for the steps _heads leaves out; each
-    # writes position p - 1, so steps[p], their running sum, counts the
-    # positions written.
-    heads = [0, *repeat(1, a - len(heads)), *heads]
-    steps = list(accumulate(heads))
+    # Forward: heads[p - z] odometer settings over the first p >= z down
+    # steps, z = ceil(a/b), each writing position p - 1; steps[p - z + 1],
+    # their running sum after the z - 1 positions before, one setting each,
+    # counts the positions written.  Tables that reach above step z cost
+    # more than they save: going up a level saves one position written and
+    # builds at least one entry and one list.
+    z = a + 1 - len(heads)
+    steps = list(accumulate(heads, initial=z - 1))
     # Backward, while the budget holds and the tables alone cost less than
     # the best depth so far: n[y] completions of down steps j..a-1 after
     # xs[j-1] = y, and built the cost of the tables of depth a - j, every
     # level counted.  A word of level j has a - j + b - y letters, so the
     # first test is a cheap lower bound of the second.
-    best, least = 0, steps[a] + _PATH * total
+    best, least = 0, steps[-1] + _PATH * total
     n = [1] * m
     built = below = 0
-    for j in range(a - 1, 0, -1):
-        n = list(accumulate(n[bounds[j] :: -1]))[::-1]
+    for j, settings, written in zip(range(a - 1, z - 1, -1), heads[-2::-1], steps[-2::-1]):
+        bound = b * j // a
+        n = list(accumulate(n[bound::-1]))[::-1]
         entries = sum(n)
         width = a - j + b + 100
-        if entries * (width - bounds[j]) + below > _TABLE_LETTERS:
+        if entries * (width - bound) + below > _TABLE_LETTERS:
             break
         letters = sum(map(mul, n, range(width, width - len(n), -1)))
         built += entries + _TABLE * len(n)
         if letters + below > _TABLE_LETTERS or built + _ITEM * total >= least:
             break
         below = letters
-        cost = steps[j] + _SETTING * heads[j] + built + _ITEM * total
+        cost = written + _SETTING * settings + built + _ITEM * total
         if cost < least:
             best, least = a - j, cost
     return best

@@ -472,12 +472,12 @@ def test_enumerate_limit(capsys):
     assert err == "error: too many paths: 5 exceeds the cap of 4\n"
 
 
-def run_limited(*argv):
-    """Run the CLI in a child limited to 400 MiB of address space: (process, seconds)."""
+def run_limited(*argv, mib=400):
+    """Run the CLI in a child limited to ``mib`` MiB of address space: (process, seconds)."""
     resource = pytest.importorskip("resource")
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib * 2**20, mib * 2**20))
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
     start = time.perf_counter()
@@ -498,6 +498,14 @@ def test_enumerate_refuses_a_huge_word_up_front():
         f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.LETTER_CAP}\n"
     )
     assert elapsed < 1
+
+
+def test_enumerate_a_tall_rectangle_in_little_memory():
+    # One path of 30,000,001 letters: the walk holds nothing per down step,
+    # so a child limited to 200 MiB writes it as one line.
+    proc, _ = run_limited("enumerate", "30000000", "1", mib=200)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0" * 30000000 + "1\n"
 
 
 def test_enumerate_env_cap(capsys, monkeypatch):
@@ -694,15 +702,29 @@ def test_expand_lower_family_frozen(capsys):
 
 def test_expand_counts_each_rectangle_once(capsys, monkeypatch):
     # 6x8 has the terms 1x2 * 5x6, 2x3 * 4x5, 3x4 * 3x4 and the step 6x8 - 6x7.
-    count_rect, asked = diagrams.count_rect, []
+    # The coprime ones are counted in closed form, 6x8 by the partition sum.
+    asked = []
 
-    def spy(a, b):
-        asked.append((a, b))
-        return count_rect(a, b)
+    def spy(count):
+        def counted(a, b):
+            asked.append((a, b))
+            return count(a, b)
+        return counted
 
-    monkeypatch.setattr(diagrams, "count_rect", spy)
+    monkeypatch.setattr(formulas, "coprime_catalan", spy(formulas.coprime_catalan))
+    monkeypatch.setattr(bizley, "bizley_count", spy(bizley.bizley_count))
+    monkeypatch.setattr(diagrams, "count_rect", None)
     assert run(capsys, "expand", "6", "8")[0] == 0
     assert len(asked) == len(set(asked)) == 7
+    assert (6, 8) in asked
+
+
+def test_expand_answers_a_large_rectangle_at_once():
+    # About a thousand terms of 2,000-by-2,002 size, each counted in closed form.
+    proc, elapsed = run_limited("expand", "2000", "2002")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "RESULT: PASS"
+    assert elapsed < 2
 
 
 def test_expand_upper_family(capsys):

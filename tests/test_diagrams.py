@@ -427,8 +427,7 @@ def test_enumerate_matches_the_reference_walk(form):
 def test_enumerate_chooses_several_depths():
     depths = set()
     for a, b in DEPTH_SHAPES:
-        bounds = [b * i // a for i in range(a)]
-        depths.add(diagrams._depth(a, b, bounds, diagrams._heads(a, b)))
+        depths.add(diagrams._depth(a, b, diagrams._heads(a, b)))
     assert 0 in depths and len(depths) >= 4, depths
 
 
@@ -443,6 +442,29 @@ def test_enumerate_counts_once(monkeypatch):
     with pytest.raises(TooManyPaths, match="^too many paths: 227 exceeds the cap of 226$"):
         enumerate_paths(6, 8, cap=226)
     assert len(list(enumerate_paths(13, 9))) == 22610
+
+
+def test_heads_count_the_word_prefixes_at_every_level():
+    # _heads(a, b)[j] is the number of settings over the first z + j down
+    # steps, z = ceil(a/b): the distinct prefixes of the words through that
+    # down step.  _depth weighs every level by it.
+    for a in range(1, 9):
+        for b in range(1, 13):
+            z = -(-a // b)
+            words = words_by_filter(a, b)
+            downs = [[i for i, letter in enumerate(w) if letter == "0"] for w in words]
+            prefixes = [
+                len({w[: d[p - 1] + 1] for w, d in zip(words, downs)}) for p in range(z, a + 1)
+            ]
+            assert diagrams._heads(a, b) == prefixes, (a, b)
+
+
+def test_tuple_form_is_one_setting_a_path(monkeypatch):
+    # Tuples never come from tables: the tuple form walks the odometer over
+    # every down step and never asks _depth.
+    monkeypatch.setattr(diagrams, "_depth", None)
+    for a, b in DEPTH_SHAPES:
+        assert listed(a, b, None) == reference(a, b, None), (a, b)
 
 
 def test_every_depth_matches_the_reference_walk(monkeypatch):
