@@ -28,9 +28,8 @@ import sys
 import time
 from collections.abc import Iterable
 from decimal import Decimal
-from math import gcd
 
-from . import bizley, christoffel, comparison, decomposition, diagrams, formulas, verify
+from . import christoffel, comparison, decomposition, diagrams, formulas, verify
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -51,55 +50,8 @@ class _Verbatim:
         self.pieces = pieces
 
 
-def _fuss(a: int, b: int) -> int:
-    if b % a:
-        raise ValueError(
-            f"fuss needs the width to be a multiple of the height, got {a}x{b}"
-        )
-    return formulas.fuss_catalan(a, b // a)
-
-
-def _theorem_fit(a: int, b: int) -> tuple[str, int, int]:
-    fit = comparison.theorem_fit(a, b)
-    if fit is None:
-        raise ValueError(f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2")
-    return fit
-
-
-def _theorem(a: int, b: int) -> int:
-    family, k, n = _theorem_fit(a, b)
-    if family == "upper":
-        return comparison.theorem1_count(k, n)
-    return comparison.theorem2_count(k, n)
-
-
-ROUTES = {
-    "oracle": lambda a, b: diagrams.count_rect(a, b),
-    "bizley": lambda a, b: bizley.bizley_count(a, b),
-    "coprime": lambda a, b: formulas.coprime_catalan(a, b),
-    "fuss": _fuss,
-    "theorem": _theorem,
-    "decompose": lambda a, b: decomposition.h_value(
-        decomposition.decompose(diagrams.christoffel_diagram(a, b))
-    ),
-}
-"""Counting routes by name.  Each entry looks its function up on the module at
-call time, not at import, so that a function replaced there (a test's injected
-fault, a profiler's wrapper) is the one that runs.
-"""
-
-METHODS = [*ROUTES, "auto"]
-
-
-def _auto_route(a: int, b: int) -> str:
-    """The first route that applies, closed forms first: coprime, fuss, theorem, else bizley."""
-    if gcd(a, b) == 1:
-        return "coprime"
-    if b % a == 0:
-        return "fuss"
-    if comparison.theorem_fit(a, b) is not None:
-        return "theorem"
-    return "bizley"
+METHODS = [*verify.ROUTES, "auto"]
+AUTO = ("coprime", "fuss", "theorem", "bizley")  # auto takes the first that applies
 
 
 def _digits(n) -> str:
@@ -125,8 +77,8 @@ def _cmd_count(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
     start = time.perf_counter()
-    resolved = _auto_route(a, b) if args.method == "auto" else args.method
-    value = ROUTES[resolved](a, b)
+    resolved = verify.first_route(a, b, AUTO if args.method == "auto" else [args.method])
+    value = verify.ROUTES[resolved].count(a, b)
     micros = int((time.perf_counter() - start) * 1e6)
     failures = []
     oracle = None
@@ -210,12 +162,9 @@ def _cmd_enumerate(args):
         except ValueError:
             raise ValueError(f"RECTCAT_MAX_ENUM must be an integer, got {env!r}") from None
     # Every refusal comes from this call, before main writes anything.
-    text = diagrams.enumerate_paths(args.a, args.b, cap, form="json" if args.json else "text")
+    count, text = diagrams.enumerate_paths(args.a, args.b, cap, "json" if args.json else "text")
     if not args.json:
         return text, None, []
-    # The count sorts before the paths, so it is counted here rather than
-    # while they are written.
-    count = diagrams.count_rect(args.a, args.b)
     return None, {"a": args.a, "b": args.b, "count": count, "paths": _Verbatim(text)}, []
 
 
@@ -270,11 +219,12 @@ def _cmd_identities(args):
 def _cmd_expand(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
-    family, _, n = _theorem_fit(a, b)
+    verify.first_route(a, b, ["theorem"])  # refuses a rectangle outside both families
+    family, _, n = comparison.theorem_fit(a, b)
     # Every term is coprime, and so is one side of the width step; the other,
     # like (a, b), has gcd 2.  Terms and step share rectangles: count each once.
     count = functools.cache(
-        lambda a, b: (formulas.coprime_catalan if gcd(a, b) == 1 else bizley.bizley_count)(a, b)
+        lambda a, b: verify.ROUTES[verify.first_route(a, b, ("coprime", "bizley"))].count(a, b)
     )
     terms, total, step, diff = verify.rule2_bridge(a, b, family, n, count)
     lines = [f"family: {family} (a={a}, b={b}, n={n})\n"]

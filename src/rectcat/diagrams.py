@@ -196,7 +196,10 @@ def _fillings(rows):
     for length in rows:
         t = list(accumulate(t))
         yield t[-1]
-        t += [t[-1]] * (length + 1 - len(t))
+        if len(t) == 1:  # the first row with boxes: repeat t in place, with no pad list
+            t *= length + 1
+        else:
+            t += [t[-1]] * (length + 1 - len(t))
     yield sum(t)
 
 
@@ -211,19 +214,20 @@ _ROW_SEPS = {None: None, "text": ",", "json": ", "}
 
 def enumerate_paths(
     a: int, b: int, cap: int = DEFAULT_ENUM_CAP, form: str | None = None
-) -> Iterator[tuple[str, Diagram] | str]:
+) -> Iterator[tuple[str, Diagram]] | tuple[int, Iterator[str]]:
     """Every (a,b)-Dyck path with its diagram, words in lexicographic order.
 
     Returns an iterator of ``(word, diagram)`` pairs, or with ``form`` a line
-    form, of text in pieces of whole lines or items.  ``form="text"`` gives
-    one line per path: the word, a space and the rows joined by ",", and a
-    line end; the empty diagram's line is the word alone.  ``form="json"``
-    gives pieces that join to a JSON list of ``{"diagram": [rows], "word":
-    word}`` objects, spaced as json.dumps spaces them.  The call itself
-    refuses: with ValueError for any other form, with TooManyPaths when the
-    count exceeds ``cap``, with OverflowError when the word is longer than
-    Python can index, and with TooManyLetters when the words, with one more
-    letter each for a line end, would hold more than LETTER_CAP letters.
+    form, the number of paths and an iterator of text in pieces of whole
+    lines or items.  ``form="text"`` gives one line per path: the word, a
+    space and the rows joined by ",", and a line end; the empty diagram's
+    line is the word alone.  ``form="json"`` gives pieces that join to a
+    JSON list of ``{"diagram": [rows], "word": word}`` objects, spaced as
+    json.dumps spaces them.  The call itself refuses: with ValueError for
+    any other form, with TooManyPaths when the count exceeds ``cap``, with
+    OverflowError when the word is longer than Python can index, and with
+    TooManyLetters when the words, with one more letter each for a line
+    end, would hold more than LETTER_CAP letters.
     """
     check_rect(a, b)
     if form not in _ROW_SEPS:
@@ -236,7 +240,8 @@ def enumerate_paths(
     letters = total * (a + b + 1)
     if letters > LETTER_CAP:
         raise TooManyLetters(letters, LETTER_CAP)
-    return _walk(a, b, heads, form)
+    walk = _walk(a, b, heads, form)
+    return walk if form is None else (total, walk)
 
 
 def _heads(a: int, b: int) -> list[int]:

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from decimal import Decimal
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,35 @@ def test_count_json_frozen(capsys):
         '"count": "377", "method": "auto", "oracle": "377", '
         '"resolved_method": "bizley"}, "schema_version": 1}\n'
     )
+
+
+def test_every_rectangle_to_40_resolves_and_refuses_by_its_domain(capsys):
+    # Past the corpus, which stops at 12x18.  Each domain is written out here
+    # apart from the route table: auto takes the first that holds, and an
+    # explicit method refuses where its own does not.
+    def theorem(a, b):  # a = 2k, b = a(n+1) - 2 with n >= 0 or b = an + 2 with n >= 1
+        widths = {a * (n + 1) - 2 for n in range(b + 1)} | {a * n + 2 for n in range(1, b + 1)}
+        return a % 2 == 0 and b in widths
+
+    for a in range(1, 41):
+        for b in range(1, 41):
+            g = gcd(a, b)
+            refusals = {  # method: (its domain holds, its refusal)
+                "coprime": (g == 1, f"sides must be coprime, got gcd({a},{b}) = {g}"),
+                "fuss": (
+                    b % a == 0, f"fuss needs the width to be a multiple of the height, got {a}x{b}"
+                ),
+                "theorem": (
+                    theorem(a, b), f"{a}x{b} fits neither theorem family b = a(n+1)-2 nor b = an+2"
+                ),
+            }
+            want = next((m for m, (fits, _) in refusals.items() if fits), "bizley")
+            code, out, _ = run(capsys, "count", str(a), str(b), "--json", "--check-bound", "0")
+            assert (code, json.loads(out)["results"]["resolved_method"]) == (0, want), (a, b)
+            for method, (fits, message) in refusals.items():
+                if not fits:
+                    got = run(capsys, "count", str(a), str(b), "--method", method)
+                    assert got == (2, "", f"error: {message}\n"), (a, b, method)
 
 
 def test_count_check_bound_disables_oracle(capsys):
@@ -466,6 +496,23 @@ def test_enumerate_streams_to_stdout_in_constant_memory(monkeypatch, fmt):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_enumerate_counts_once(capsys, monkeypatch, fmt):
+    # The count the cap is checked against is also the JSON count: one pass of the DP.
+    passes = []
+    fillings = diagrams._fillings
+
+    def spy(rows):
+        passes.append(rows)
+        return fillings(rows)
+
+    monkeypatch.setattr(diagrams, "_fillings", spy)
+    code, out, _ = run(capsys, "enumerate", "13", "9", *fmt)
+    assert (code, len(passes)) == (0, 1)
+    if fmt:
+        assert json.loads(out)["results"]["count"] == diagrams.count_rect(13, 9)
+
+
 def test_enumerate_limit(capsys):
     code, _, err = run(capsys, "enumerate", "3", "3", "--limit", "4")
     assert code == 2
@@ -498,6 +545,15 @@ def test_enumerate_refuses_a_huge_word_up_front():
         f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.LETTER_CAP}\n"
     )
     assert elapsed < 1
+
+
+def test_enumerate_refuses_a_huge_count_in_512_mib():
+    # 50,000,001 paths: the forward count's one row of 5*10**7 entries is its
+    # first entry repeated in place, with no pad list beside it, so the cap
+    # refuses in a child limited to 512 MiB instead of running out of memory.
+    proc, _ = run_limited("enumerate", "2", "100000000", "--limit", "10", mib=512)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: too many paths: 50000001 exceeds the cap of 10\n"
 
 
 def test_enumerate_a_tall_rectangle_in_little_memory():

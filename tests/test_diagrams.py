@@ -366,10 +366,10 @@ def test_spliced_diagrams_are_the_words_diagrams():
         pairs = list(enumerate_paths(a, b))
         for word, mu in pairs:
             assert mu == word_to_diagram(a, b, word)
-        lines = "".join(enumerate_paths(a, b, form="text")).splitlines()
+        lines = "".join(enumerate_paths(a, b, form="text")[1]).splitlines()
         assert [line.split(" ")[0] for line in lines] == [word for word, _ in pairs]
         assert [parse_diagram(line.partition(" ")[2]) for line in lines] == [mu for _, mu in pairs]
-        items = json.loads("".join(enumerate_paths(a, b, form="json")))
+        items = json.loads("".join(enumerate_paths(a, b, form="json")[1]))
         assert [(item["word"], tuple(item["diagram"])) for item in items] == pairs
 
 
@@ -377,7 +377,7 @@ def traced_peak(a, b, form):
     """The most memory traced while enumerate_paths(a, b, form=form) is consumed."""
     tracemalloc.start()
     try:
-        for _ in enumerate_paths(a, b, form=form):
+        for _ in enumerate_paths(a, b, form=form)[1]:
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -399,12 +399,17 @@ FORMS = [None, "text", "json"]
 def listed(a, b, form):
     """enumerate_paths' pairs as a list, or its line form's pieces joined.
 
-    Every text piece is whole lines, so it ends with a line end.
+    A line form's count is the oracle's, and every text piece is whole lines,
+    so it ends with a line end.
     """
-    pieces = list(enumerate_paths(a, b, form=form))
+    if form is None:
+        return list(enumerate_paths(a, b))
+    total, pieces = enumerate_paths(a, b, form=form)
+    assert total == count_rect(a, b), (a, b)
+    pieces = list(pieces)
     if form == "text":
         assert all(piece.endswith("\n") for piece in pieces), (a, b)
-    return pieces if form is None else "".join(pieces)
+    return "".join(pieces)
 
 
 def reference(a, b, form):
@@ -468,11 +473,12 @@ def test_tuple_form_is_one_setting_a_path(monkeypatch):
 
 
 def test_every_depth_matches_the_reference_walk(monkeypatch):
-    # Whatever depth the cost model picks, the paths are the same.
+    # Whatever depth the cost model picks, the lines are the same.  The tuple
+    # form never asks _depth: test_tuple_form_is_one_setting_a_path.
     for a, b in [(1, 5), (4, 6), (6, 4), (5, 8), (9, 4), (7, 7)]:
         for k in range(a):
             monkeypatch.setattr(diagrams, "_depth", lambda *args: k)
-            for form in FORMS:
+            for form in ["text", "json"]:
                 assert listed(a, b, form) == reference(a, b, form), (a, b, k)
 
 
