@@ -22,6 +22,7 @@ from .decomposition import (
 )
 from .diagrams import (
     Diagram,
+    TooLarge,
     TooManyLetters,
     TooManyPaths,
     as_diagram,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Diagram",
+    "TooLarge",
     "TooManyLetters",
     "TooManyPaths",
     "as_diagram",

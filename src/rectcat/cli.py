@@ -1,11 +1,12 @@
 """Command-line interface: counting, enumeration, decomposition, verification.
 
 Every command is deterministic (identical inputs give byte-identical
-stdout).  Exit codes: 0 success, 2 usage or domain error, 3 verification
-failure or internal cross-check mismatch.  --json swaps the text output for
-a single versioned JSON object; counts travel as decimal strings there, so
-no reader has to round-trip big integers through floats.  enumerate's count,
-bounded by its cap, is the one JSON integer among them.
+stdout).  Exit codes: 0 success, 2 usage or domain error, a size past its
+cap in diagrams.CAPS included, 3 verification failure or internal
+cross-check mismatch.  --json swaps the text output for a single versioned
+JSON object; counts travel as decimal strings there, so no reader has to
+round-trip big integers through floats.  enumerate's count, bounded by its
+cap, is the one JSON integer among them.
 
 A handler returns (text, JSON results, failures).  decompose and enumerate
 build only the form that --json selects and leave the other None.  The text
@@ -36,9 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 DEFAULT_CHECK_BOUND = 400
-# christoffel prints two numbers for each row below the top one, and refuses
-# a height with more of those rows than this.
-ROW_CAP = 10**6
 # json.dumps writes this string as "\u0000", which no other report value holds.
 _SPLICE = "\0"
 
@@ -107,8 +105,7 @@ def _cmd_count(args):
 def _cmd_christoffel(args):
     a, b = args.a, args.b
     diagrams.check_rect(a, b)
-    if a - 1 > ROW_CAP:
-        raise ValueError(f"too many rows: {a - 1} exceeds the cap of {ROW_CAP}")
+    diagrams.admit("rows", a - 1)
     mu = diagrams.christoffel_diagram(a, b)
     q = christoffel.q_boxes(a, b)
     profile = [christoffel.delta(a, b, l) for l in range(1, a)]
@@ -156,7 +153,7 @@ def _cmd_enumerate(args):
     diagrams.check_rect(args.a, args.b)
     cap = args.limit
     if cap is None:
-        env = os.environ.get("RECTCAT_MAX_ENUM", str(diagrams.DEFAULT_ENUM_CAP))
+        env = os.environ.get("RECTCAT_MAX_ENUM", str(diagrams.CAPS["paths"]))
         try:
             cap = int(env)
         except ValueError:

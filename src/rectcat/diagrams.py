@@ -46,26 +46,28 @@ from operator import add, index, lt, mul
 
 Diagram = tuple[int, ...]
 
-DEFAULT_ENUM_CAP = 10**6
-LETTER_CAP = 10**9
+# Every size refusal's cap: enumerate's paths, and their letters with a line
+# end each; christoffel's rows below the top one, two numbers printed a row.
+CAPS = {"paths": 10**6, "letters": 10**9, "rows": 10**6}
 
 
-class TooManyPaths(ValueError):
-    """Raised when an enumeration would exceed the configured cap."""
+class TooLarge(ValueError):
+    """Raised when a size, known before any work, exceeds its cap."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"too many paths: {count} exceeds the cap of {cap}")
-        self.count = count
-        self.cap = cap
+    def __init__(self, what: str, size: int, cap: int):
+        super().__init__(f"too many {what}: {size} exceeds the cap of {cap}")
+        self.what, self.size, self.cap = what, size, cap
 
 
-class TooManyLetters(ValueError):
-    """Raised when an enumeration's words would exceed the letters cap."""
+# The paths and letters refusals' earlier names, kept importable for callers.
+TooManyPaths = TooManyLetters = TooLarge
 
-    def __init__(self, letters: int, cap: int):
-        super().__init__(f"too many letters: {letters} exceeds the cap of {cap}")
-        self.letters = letters
-        self.cap = cap
+
+def admit(what: str, size: int, cap: int | None = None) -> None:
+    """Refuse ``size`` of ``what`` past ``cap``, by default CAPS[what]."""
+    cap = CAPS[what] if cap is None else cap
+    if size > cap:
+        raise TooLarge(what, size, cap)
 
 
 def check_rect(a: int, b: int) -> None:
@@ -188,19 +190,18 @@ def _fillings(rows):
     row of x boxes sits under any row above it of at most x boxes, so the
     next row's table is the prefix sums of t.  Going down, row lengths weakly
     increase, so the next row is never shorter than t; its entries past the
-    end of t hold the full sum, which is the last prefix sum repeated.  Yields
-    the number of fillings of the rows above each row, then of all of them.
-    Exact integer arithmetic throughout.
+    end of t hold the full sum, which is the last prefix sum repeated, a pad
+    built only when the next row reads it; the last row's is only summed.
+    Yields the number of fillings of the rows above each row, then of all of
+    them.  Exact integer arithmetic throughout.
     """
-    t = [1]
+    t, pad = [1], 0
     for length in rows:
+        t += [t[-1]] * pad
         t = list(accumulate(t))
         yield t[-1]
-        if len(t) == 1:  # the first row with boxes: repeat t in place, with no pad list
-            t *= length + 1
-        else:
-            t += [t[-1]] * (length + 1 - len(t))
-    yield sum(t)
+        pad = length + 1 - len(t)
+    yield sum(t) + t[-1] * pad
 
 
 def count_rect(a: int, b: int) -> int:
@@ -213,7 +214,7 @@ _ROW_SEPS = {None: None, "text": ",", "json": ", "}
 
 
 def enumerate_paths(
-    a: int, b: int, cap: int = DEFAULT_ENUM_CAP, form: str | None = None
+    a: int, b: int, cap: int | None = None, form: str | None = None
 ) -> Iterator[tuple[str, Diagram]] | tuple[int, Iterator[str]]:
     """Every (a,b)-Dyck path with its diagram, words in lexicographic order.
 
@@ -223,23 +224,20 @@ def enumerate_paths(
     space and the rows joined by ",", and a line end; the empty diagram's
     line is the word alone.  ``form="json"`` gives pieces that join to a
     JSON list of ``{"diagram": [rows], "word": word}`` objects, spaced as
-    json.dumps spaces them.  The call itself refuses: with ValueError for
-    any other form, with TooManyPaths when the count exceeds ``cap``, with
-    OverflowError when the word is longer than Python can index, and with
-    TooManyLetters when the words, with one more letter each for a line
-    end, would hold more than LETTER_CAP letters.
+    json.dumps spaces them.  The call itself refuses, in this order: with
+    ValueError for any other form, with TooLarge when the count exceeds
+    ``cap``, by default CAPS["paths"], with OverflowError when the word is
+    longer than Python can index, and with TooLarge when the words, with one
+    more letter each for a line end, would hold more than CAPS["letters"].
     """
     check_rect(a, b)
     if form not in _ROW_SEPS:
         raise ValueError(f"form must be None, 'text' or 'json', got {form!r}")
     heads = _heads(a, b)
     total = heads[-1]
-    if total > cap:
-        raise TooManyPaths(total, cap)
+    admit("paths", total, cap)
     "" * (a + b)  # a word Python cannot index raises OverflowError here
-    letters = total * (a + b + 1)
-    if letters > LETTER_CAP:
-        raise TooManyLetters(letters, LETTER_CAP)
+    admit("letters", total * (a + b + 1))
     walk = _walk(a, b, heads, form)
     return walk if form is None else (total, walk)
 

@@ -168,7 +168,7 @@ def test_count_cross_check_catches_bad_formula(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["count", "2", "100000000000000000000000", "--method", "oracle"],
+        ["count", "3", "100000000000000000000000", "--method", "oracle"],
         ["enumerate", "1", "100000000000000000000"],
     ],
     ids=["count", "enumerate"],
@@ -178,6 +178,13 @@ def test_size_past_an_index_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_a_one_row_staircase_of_any_width_is_counted(capsys):
+    # 2x10**23 has one row: the oracle sums its pad instead of building it.
+    argv = ["count", "2", "100000000000000000000000", "--method"]
+    assert run(capsys, *argv, "oracle") == (0, "50000000000000000000001\n", "")
+    assert run(capsys, *argv, "bizley") == run(capsys, *argv, "oracle")
 
 
 @pytest.mark.parametrize(
@@ -252,12 +259,14 @@ def test_christoffel_refuses_a_huge_height_up_front():
     # About 2 * 10**9 numbers to print: refused before any row is built.
     proc, elapsed = run_limited("christoffel", "1000000000", "3")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: too many rows: 999999999 exceeds the cap of {cli.ROW_CAP}\n"
+    assert proc.stderr == (
+        f"error: too many rows: 999999999 exceeds the cap of {diagrams.CAPS['rows']}\n"
+    )
     assert elapsed < 1
 
 
 def test_christoffel_row_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ROW_CAP", 5)
+    monkeypatch.setitem(diagrams.CAPS, "rows", 5)
     assert run(capsys, "christoffel", "6", "9")[0] == 0
     for json_flag in ([], ["--json"]):
         assert run(capsys, "christoffel", "7", "9", *json_flag) == (
@@ -542,18 +551,53 @@ def test_enumerate_refuses_a_huge_word_up_front():
     proc, elapsed = run_limited("enumerate", "1", "1000000000000")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.LETTER_CAP}\n"
+        f"error: too many letters: 1000000000002 exceeds the cap of {diagrams.CAPS['letters']}\n"
     )
     assert elapsed < 1
 
 
 def test_enumerate_refuses_a_huge_count_in_512_mib():
-    # 50,000,001 paths: the forward count's one row of 5*10**7 entries is its
-    # first entry repeated in place, with no pad list beside it, so the cap
-    # refuses in a child limited to 512 MiB instead of running out of memory.
+    # 50,000,001 paths: the forward count's one row of 5*10**7 entries is
+    # only summed, never built, so the cap refuses in a child limited to
+    # 512 MiB instead of running out of memory.
     proc, _ = run_limited("enumerate", "2", "100000000", "--limit", "10", mib=512)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: too many paths: 50000001 exceeds the cap of 10\n"
+
+
+def test_enumerate_refuses_a_huge_count_in_400_mib_at_once():
+    # The same refusal costs O(1) in the row's length: no list as long as
+    # the row is built, so it comes within a second under 400 MiB.
+    proc, elapsed = run_limited("enumerate", "2", "100000000", "--limit", "10", mib=400)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: too many paths: 50000001 exceeds the cap of 10\n"
+    assert elapsed < 1
+
+
+# For each cap: a value small enough to test, an argv of exactly that size,
+# which answers, and an argv past it with its size.
+CAP_CASES = {
+    "paths": (5, ["enumerate", "3", "3"], ["enumerate", "3", "5"], 7),
+    "letters": (35, ["enumerate", "3", "3"], ["enumerate", "3", "5"], 63),
+    "rows": (5, ["christoffel", "6", "9"], ["christoffel", "7", "9"], 6),
+}
+
+
+def test_every_cap_refuses_past_it_and_admits_at_it(capsys, monkeypatch):
+    assert CAP_CASES.keys() == diagrams.CAPS.keys()
+    monkeypatch.delenv("RECTCAT_MAX_ENUM", raising=False)
+    for what, (cap, admitted, refused, size) in CAP_CASES.items():
+        with monkeypatch.context() as m:
+            m.setitem(diagrams.CAPS, what, cap)
+            for json_flag in ([], ["--json"]):
+                code, out, err = run(capsys, *admitted, *json_flag)
+                assert (code, err) == (0, ""), (what, json_flag)
+                if admitted[0] == "enumerate":
+                    paths = json.loads(out)["results"]["paths"] if json_flag else out.splitlines()
+                    assert len(paths) == 5
+                assert run(capsys, *refused, *json_flag) == (
+                    2, "", f"error: too many {what}: {size} exceeds the cap of {cap}\n",
+                ), (what, json_flag)
 
 
 def test_enumerate_a_tall_rectangle_in_little_memory():

@@ -18,6 +18,7 @@ from oracles import (
     words_by_filter,
 )
 from rectcat import (
+    TooLarge,
     TooManyLetters,
     TooManyPaths,
     as_diagram,
@@ -225,6 +226,18 @@ def test_count_paths_known_values():
     assert count_paths((6, 5, 4, 2, 1)) == 227
 
 
+def test_count_paths_sums_the_last_rows_pad():
+    # The last row's pad is only summed, never built: one row of any length
+    # answers at once, and a second row's pad past an index is refused.
+    start = time.perf_counter()
+    assert count_paths((10**20,)) == 10**20 + 1
+    assert count_paths((10**20, 1)) == 10**20 * 2 + 1
+    assert time.perf_counter() - start < 1
+    with pytest.raises(OverflowError):
+        count_paths((10**20, 10**20))
+    assert count_rect(2, 10**23) == 5 * 10**22 + 1
+
+
 def test_count_rect_known_values():
     assert count_rect(4, 6) == 23
     assert count_rect(6, 8) == 227
@@ -341,7 +354,7 @@ def test_enumerate_long_thin_rectangle():
 def test_enumerate_cap():
     with pytest.raises(TooManyPaths) as exc:
         enumerate_paths(4, 4, cap=10)
-    assert exc.value.count == 14
+    assert (exc.value.what, exc.value.size) == ("paths", 14)
     assert exc.value.cap == 10
     assert str(exc.value) == "too many paths: 14 exceeds the cap of 10"
     assert len(list(enumerate_paths(4, 4, cap=14))) == 14  # cap is inclusive
@@ -494,14 +507,31 @@ def test_enumerate_tables_stay_small(a, b):
 def test_enumerate_refuses_past_the_letters_cap():
     with pytest.raises(TooManyLetters) as exc:
         enumerate_paths(1, 10**12)
-    assert exc.value.letters == 10**12 + 2
-    assert exc.value.cap == diagrams.LETTER_CAP
+    assert (exc.value.what, exc.value.size) == ("letters", 10**12 + 2)
+    assert exc.value.cap == diagrams.CAPS["letters"]
     assert str(exc.value) == (
-        f"too many letters: {10**12 + 2} exceeds the cap of {diagrams.LETTER_CAP}"
+        f"too many letters: {10**12 + 2} exceeds the cap of {diagrams.CAPS['letters']}"
     )
     # 15,001 words of 30,002 letters and a newline each: about 4.5e8 letters.
-    assert 15001 * 30003 <= diagrams.LETTER_CAP
+    assert 15001 * 30003 <= diagrams.CAPS["letters"]
     next(enumerate_paths(2, 30000))
+
+
+def test_every_refusal_is_one_too_large():
+    # The old names are the one class, so `except TooManyPaths` also catches
+    # the letters refusal; admit reads CAPS unless given a cap.
+    assert TooManyPaths is TooManyLetters is TooLarge
+    assert issubclass(TooLarge, ValueError)
+    with pytest.raises(TooManyPaths, match="^too many letters: "):
+        enumerate_paths(1, 10**12)
+    for what, cap in diagrams.CAPS.items():
+        diagrams.admit(what, cap)
+        with pytest.raises(TooLarge) as exc:
+            diagrams.admit(what, cap + 1)
+        assert (exc.value.what, exc.value.size, exc.value.cap) == (what, cap + 1, cap)
+        diagrams.admit(what, 7, 7)
+        with pytest.raises(TooLarge, match=f"^too many {what}: 8 exceeds the cap of 7$"):
+            diagrams.admit(what, 8, 7)
 
 
 def test_enumerate_cap_env(monkeypatch):
