@@ -28,9 +28,9 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from decimal import Decimal
 
 from . import christoffel, comparison, decomposition, diagrams, formulas, verify
+from .formulas import digits
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -50,16 +50,6 @@ class _Verbatim:
 
 METHODS = [*verify.ROUTES, "auto"]
 AUTO = ("coprime", "fuss", "theorem", "bizley")  # auto takes the first that applies
-
-
-def _digits(n) -> str:
-    """``n``, an int or a Fraction, in decimal.
-
-    Goes through Decimal because str() refuses ints past 4300 digits on
-    Python 3.11+, and lifting that limit would change it for the whole process.
-    """
-    text = str(Decimal(n.numerator))
-    return text if n.denominator == 1 else f"{text}/{Decimal(n.denominator)}"
 
 
 def _append_cache(path: str, a: int, b: int, method: str, count: str, micros: int) -> None:
@@ -84,10 +74,10 @@ def _cmd_count(args):
         oracle = diagrams.count_rect(a, b)
         if oracle != value:
             failures.append(
-                f"method {resolved} gives {_digits(value)} for {a}x{b}, "
-                f"oracle {_digits(oracle)}"
+                f"method {resolved} gives {digits(value)} for {a}x{b}, "
+                f"oracle {digits(oracle)}"
             )
-    count = _digits(value)
+    count = digits(value)
     if args.cache:
         _append_cache(args.cache, a, b, resolved, count, micros)
     lines = [f"{count}\n"] + [f"FAIL: {f}\n" for f in failures]
@@ -97,7 +87,7 @@ def _cmd_count(args):
         "method": args.method,
         "resolved_method": resolved,
         "count": count,
-        "oracle": None if oracle is None else _digits(oracle),
+        "oracle": None if oracle is None else digits(oracle),
     }
     return lines, results, failures
 
@@ -107,14 +97,16 @@ def _cmd_christoffel(args):
     diagrams.check_rect(a, b)
     diagrams.admit("rows", a - 1)
     mu = diagrams.christoffel_diagram(a, b)
-    q = christoffel.q_boxes(a, b)
+    q = digits(christoffel.q_boxes(a, b))
     profile = [christoffel.delta(a, b, l) for l in range(1, a)]
     lines = [
         f"rows: {diagrams.format_diagram(mu)}\n",
         f"q: {q}\n",
         f"delta: {','.join(str(d) for d in profile)}\n",
     ]
-    results = {"a": a, "b": b, "rows": list(mu), "q": q, "delta": profile}
+    # json.dumps writes ints with repr(), which refuses q past 4300 digits on
+    # Python 3.11+: q goes in as its digits, and so stays a JSON integer.
+    results = {"a": a, "b": b, "rows": list(mu), "q": _Verbatim([q]), "delta": profile}
     return lines, results, []
 
 
@@ -130,7 +122,7 @@ def _cmd_decompose(args):
     expr = decomposition.decompose(mu)
     value = decomposition.h_value(expr)
     oracle = diagrams.count_paths(mu)
-    stats = {"value": _digits(value), "oracle": _digits(oracle)}
+    stats = {"value": digits(value), "oracle": digits(oracle)}
     stats.update(zip(("summands", "leaves", "depth"), decomposition.expr_stats(expr)))
     failures = []
     if value != oracle:
@@ -227,9 +219,9 @@ def _cmd_expand(args):
     lines = [f"family: {family} (a={a}, b={b}, n={n})\n"]
     items = []
     for left, right, lc, rc in terms:
-        lt, rt = _digits(lc), _digits(rc)
+        lt, rt = digits(lc), digits(rc)
         lines.append(
-            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {_digits(lc * rc)}\n"
+            f"{left[0]}x{left[1]} * {right[0]}x{right[1]}: {lt} * {rt} = {digits(lc * rc)}\n"
         )
         items.append(
             {
@@ -239,7 +231,7 @@ def _cmd_expand(args):
                 "right_count": rt,
             }
         )
-    total_text, diff_text = _digits(total), _digits(diff)
+    total_text, diff_text = digits(total), digits(diff)
     failures = []
     if total != diff:
         failures.append(f"term sum {total_text} differs from width step {diff_text}")
@@ -274,7 +266,7 @@ def _cmd_formula(args):
     arity, fn = FORMULAS[args.name]
     if len(args.values) != arity:
         raise ValueError(f"{args.name} takes {arity} integers, got {len(args.values)}")
-    value = _digits(fn(*args.values))
+    value = digits(fn(*args.values))
     results = {"name": args.name, "values": args.values, "result": value}
     return [f"{value}\n"], results, []
 

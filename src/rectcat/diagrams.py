@@ -44,6 +44,8 @@ from collections.abc import Iterator
 from itertools import accumulate, repeat
 from operator import add, index, lt, mul
 
+from .formulas import digits
+
 Diagram = tuple[int, ...]
 
 # Every size refusal's cap: enumerate's paths, and their letters with a line
@@ -55,7 +57,7 @@ class TooLarge(ValueError):
     """Raised when a size, known before any work, exceeds its cap."""
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"too many {what}: {size} exceeds the cap of {cap}")
+        super().__init__(f"too many {what}: {digits(size)} exceeds the cap of {digits(cap)}")
         self.what, self.size, self.cap = what, size, cap
 
 

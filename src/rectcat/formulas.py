@@ -4,12 +4,24 @@ Every divided binomial here is exact: _exact_div, the package's one exact
 division helper, raises ArithmeticError rather than round.  ballot_value prints
 (b - ka + 1)/b * C(a + b, a) verbatim, which is no path count; ballot_brute
 counts the paths weakly above y = kx by (b - ka + 1)/(b + 1) * C(a + b, a).
+digits writes in decimal every number that can outgrow the arguments.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd
+
+
+def digits(n) -> str:
+    """``n``, an int or a Fraction, in decimal.
+
+    Goes through Decimal because str() refuses ints past 4300 digits on
+    Python 3.11+, and lifting that limit would change it for the whole process.
+    """
+    text = str(Decimal(n.numerator))
+    return text if n.denominator == 1 else f"{text}/{Decimal(n.denominator)}"
 
 
 def binomial(n: int, k: int) -> int:
@@ -107,7 +119,7 @@ def ballot_value(a: int, b: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if b <= a * k:
-        raise ValueError(f"need b > a*k, got b={b} and a*k={a * k}")
+        raise ValueError(f"need b > a*k, got b={b} and a*k={digits(a * k)}")
     return Fraction(b - k * a + 1, b) * binomial(a + b, a)
 
 

@@ -293,6 +293,23 @@ def test_christoffel_json(capsys):
     }
 
 
+def test_christoffel_past_the_int_str_digit_limit(capsys):
+    # The width has 4,299 digits, which int() reads; q has 4,301, past the 4300
+    # that str() converts on Python 3.11+.  q is still a JSON integer.
+    b = int("9" * 4299)
+    q = christoffel.q_boxes(100, b)
+    want = str(Decimal(q))
+    assert len(want) == 4301
+    start = time.perf_counter()
+    code, out, err = run(capsys, "christoffel", "100", str(b))
+    assert (code, err) == (0, "") and out.splitlines()[1] == f"q: {want}"
+    code, out, err = run(capsys, "christoffel", "100", str(b), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_int=Decimal)["results"]["q"] == q
+    assert time.perf_counter() - start < 2
+    assert formulas.digits(q) == want
+
+
 # --------------------------------------------------------------- decompose
 
 
@@ -880,6 +897,13 @@ def test_formula_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "formula", "catalan", "-1")
     assert code == 2
+    # a*k has 4,399 digits, past the 4300 that str() converts on Python 3.11+.
+    ones = "1" * 2200
+    a_k = str(Decimal(int(ones) ** 2))
+    assert len(a_k) == 4399
+    assert run(capsys, "formula", "ballot", ones, "5", ones) == (
+        2, "", f"error: need b > a*k, got b=5 and a*k={a_k}\n",
+    )
 
 
 def test_unknown_arguments_exit_2():

@@ -532,6 +532,14 @@ def test_every_refusal_is_one_too_large():
         diagrams.admit(what, 7, 7)
         with pytest.raises(TooLarge, match=f"^too many {what}: 8 exceeds the cap of 7$"):
             diagrams.admit(what, 8, 7)
+    # A size of 5,001 digits, past the 4300 that str() converts on Python 3.11+,
+    # is still refused as itself and stated in full.
+    huge = 10**5000
+    with pytest.raises(TooLarge) as exc:
+        diagrams.admit("paths", huge)
+    for err, cap in [(exc.value, diagrams.CAPS["paths"]), (TooLarge("paths", huge, 10), 10)]:
+        assert (err.size, err.cap) == (huge, cap)
+        assert str(err) == f"too many paths: 1{'0' * 5000} exceeds the cap of {cap}"
 
 
 def test_enumerate_cap_env(monkeypatch):

@@ -1,5 +1,6 @@
 """Closed-form counting expressions against brute-force and each other."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from rectcat import (
     fuss_catalan,
     prime_rect,
 )
-from rectcat.formulas import _exact_div, _is_prime
+from rectcat.formulas import _exact_div, _is_prime, digits
 
 
 # ----------------------------------------------------------------- binomial
@@ -179,6 +180,19 @@ def test_is_prime_matches_a_sieve():
     for p in (3317044064679887385961981, 10**30 + 57):
         with pytest.raises(ValueError, match=r"^height must be below \d+, where the prime test is"):
             _is_prime(p)
+
+
+# ----------------------------------------------------------- decimal text
+
+
+def test_digits_writes_ints_and_fractions_of_any_length():
+    assert [digits(n) for n in (0, 7, -12, Fraction(42, 5), Fraction(-3, 2))] == [
+        "0", "7", "-12", "42/5", "-3/2",
+    ]
+    # 7,000 digits each way, past the 4300 that str() converts on Python 3.11+.
+    big = 3**14670
+    assert digits(big) == str(Decimal(big)) and len(digits(big)) == 7000
+    assert digits(Fraction(big, big + 2)) == f"{Decimal(big)}/{Decimal(big + 2)}"
 
 
 # ------------------------------------------------- ballot-style expressions
