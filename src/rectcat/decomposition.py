@@ -22,20 +22,19 @@ the root last.  A row is
 where t_x is the expression of row x and v_x its value, the row's second
 field, computed once when the row is built.  Each diagram gets one row, so
 equal sub-diagrams share it, and two tables are equal when their rows are.
-decompose builds the rows with an explicit stack, without recursion, into a
-fresh memo that lives for one call, or into the caller's ``memo``, which
-lives as long as the caller keeps it.  Nothing is kept between calls
-otherwise.
+decompose builds a fresh table at each call, with an explicit stack and
+without recursion, so the table holds exactly the rows its last row reaches
+and nothing is kept between calls.
 
 expr_stats is one forward loop over the rows.  The text normal form counts
-the references to each row the last row reaches, backward, then expands
-only those rows in one forward loop, moving t_i's terms into a row that is
-their one reference.  The JSON writer takes its text from json.dumps and
-joins a shared row's text once, when it meets the row again.  render(rows)
-is the sum-of-products normal form, one term per summand, and render(rows,
-"json") the expression tree in JSON, each split a sum of t_i and the
-product t_j * t_k, written straight from the rows by json_pieces, which the
-CLI also uses for its --json report.  Each form is built only when asked.
+the references to each row, then expands the rows in one forward loop,
+moving t_i's terms into a row that is their one reference.  The JSON writer
+takes its text from json.dumps and joins a shared row's text once, when it
+meets the row again.  render(rows) is the sum-of-products normal form, one
+term per summand, and render(rows, "json") the expression tree in JSON, each
+split a sum of t_i and the product t_j * t_k, written straight from the rows
+by json_pieces, which the CLI also uses for its --json report.  Each form is
+built only when asked.
 """
 
 from __future__ import annotations
@@ -47,18 +46,18 @@ from .diagrams import as_diagram
 from .formulas import catalan
 
 
-def decompose(mu, memo: dict | None = None) -> tuple:
-    """The rows of mu's expression, mu's row last: h_value(rows) == count_paths(mu).
+def decompose(mu) -> tuple:
+    """The rows of mu's expression, mu's row last: h_value(rows) == count_paths(mu)."""
+    rows: list = []
+    _build(as_diagram(mu), rows, {})
+    return tuple(rows)
 
-    Rows are built into ``memo``: a fresh dict unless the caller passes one,
-    empty at first, to share rows across calls.  It maps each diagram built
-    to its row index and holds the shared rows, so a call returns the shared
-    rows up to and including mu's.
+
+def _build(mu, rows: list, at: dict) -> int:
+    """Append the rows of normalized mu's expression not yet in ``at``; return mu's row.
+
+    ``at`` maps each diagram with a row in ``rows`` to that row's index.
     """
-    mu = as_diagram(mu)
-    memo = {} if memo is None else memo
-    rows = memo.setdefault("rows", [])
-    at = memo.setdefault("at", {})
     # Items are (diagram, None) to expand and (diagram, parts) to assemble
     # once its parts are built.  Parts have fewer boxes than their diagram,
     # so no diagram is expanded while it is still being assembled.
@@ -90,7 +89,7 @@ def decompose(mu, memo: dict | None = None) -> tuple:
         parts = _through_box_split(nu, r)
         stack.append((nu, parts))
         stack.extend((part, None) for part in parts if part not in at)
-    return tuple(rows[: at[mu] + 1])
+    return at[mu]
 
 
 def h_value(rows) -> int:
@@ -114,18 +113,16 @@ def _normal_terms(rows) -> list[str]:
     # Distribute products over sums; a term is its iso labels joined by "*",
     # "" the empty product, construction order kept: a split's terms are
     # t_i's, then the t_j * t_k products.  refs counts the references to each
-    # row from rows the last row reaches, so an unreached row keeps 0 and gets
-    # no term list.  Forward, t_i's list is moved into its parent when that
-    # parent is its one reference, and copied otherwise.
+    # row, the last row's one from outside included.  Forward, t_i's list is
+    # moved into its parent when that parent is its one reference, and copied
+    # otherwise.
     refs = [0] * (len(rows) - 1) + [1]
-    for x in range(len(rows) - 1, -1, -1):
-        if refs[x] and rows[x][0] == "split":
-            for y in rows[x][2:]:
+    for row in rows:
+        if row[0] == "split":
+            for y in row[2:]:
                 refs[y] += 1
     flat: dict[int, list[str]] = {}
     for x, row in enumerate(rows):
-        if not refs[x]:
-            continue
         if row[0] != "split":
             flat[x] = [f"C{row[2]}" if row[0] == "iso" else ""]
             continue

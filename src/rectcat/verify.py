@@ -5,19 +5,20 @@ reports the counterexamples it finds instead of raising, so a single run can
 show everything that is broken.  Every route-vs-oracle check is the one
 sweep check_vs_oracle, which run_verify feeds a stream of cases per route: a
 rectangle and the route call that must match the oracle there.  run_verify
-builds one cache of the rectangle oracle when it is called and hands it to
-every route-vs-oracle check and both rule2 checks, so these checks count
-each rectangle once; enumerate_paths, in the two sweeps, sizes each
-rectangle with the forward count of its own walk.  All library calls go
-through the module objects, which keeps the checks honest under fault
-injection in tests.  The split-contract and decomposition sweeps meet a few hundred
-diagrams thousands of times, so for the length of one call each caches the
-oracle it finds on the module and keeps what each diagram contributes: its
-corner cells and counterexamples, or its decomposition value.  A repeat
-visit adds that again, so cells and counterexamples read as if every visit
-had done the work.  An injected fault is cached like any answer and still
-shows, and nothing outlives the call.  A check formats its counterexample
-only when a cell fails; passing cells cost no string.
+makes every oracle a run shares when it is called: one cache of the
+rectangle oracle for every route-vs-oracle check and both rule2 checks, and
+one of the diagram oracle for the split-contract and decomposition sweeps,
+so a run counts each rectangle and each diagram once; enumerate_paths, in
+the two sweeps, sizes each rectangle with the forward count of its own walk.
+All library calls go through the module objects, which keeps the checks
+honest under fault injection in tests.  The two sweeps meet a few hundred
+diagrams thousands of times, so for the length of one call each keeps what
+each diagram contributes: its corner cells and counterexamples, or its row
+in the one decomposition table the sweep builds.  A repeat visit adds that
+again, so cells and counterexamples read as if every visit had done the
+work.  An injected fault is cached like any answer and still shows, and
+nothing outlives the run.  A check formats its counterexample only when a
+cell fails; passing cells cost no string.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ def check_rule2(family: str, fam_k: int, fam_n: int, oracle) -> CheckResult:
     return res
 
 
-def check_split_contract(max_a: int, max_b: int) -> CheckResult:
+def check_split_contract(max_a: int, max_b: int, count) -> CheckResult:
     res = CheckResult("split-contract-exhaustive")
-    count = cache(diagrams.count_paths)
 
     @cache
     def corners(mu) -> CheckResult:  # the cells and failures mu adds at every visit
@@ -160,12 +160,14 @@ def check_split_contract(max_a: int, max_b: int) -> CheckResult:
     return res
 
 
-def check_decomposition(max_a: int, max_b: int) -> CheckResult:
+def check_decomposition(max_a: int, max_b: int, count) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
-    # One memo for the sweep: its diagrams share many rows, values and all.
-    memo = {}
-    count = cache(diagrams.count_paths)
-    value = cache(lambda mu: decomposition.h_value(decomposition.decompose(mu, memo)))
+    # One table for the sweep: its diagrams share many rows, values and all.
+    rows, at = [], {}
+
+    def value(mu):
+        return rows[decomposition._build(mu, rows, at)][1]
+
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
@@ -248,8 +250,9 @@ def run_identity_checks(max_a: int, max_b: int) -> list[CheckResult]:
 def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResult]:
     """Every sweep: formulas, theorems, splitting, decomposition, identities."""
     rows, cols = range(1, max_a + 1), range(1, max_b + 1)
-    # One oracle for the run: the route-vs-oracle checks share most rectangles.
-    oracle = cache(diagrams.count_rect)
+    # One oracle of each kind for the run: the route-vs-oracle checks share
+    # most rectangles, and the two diagram sweeps most diagrams.
+    oracle, count = cache(diagrams.count_rect), cache(diagrams.count_paths)
     return [
         check_vs_oracle("coprime-formula-vs-oracle", oracle, (
             ((a, b), "coprime({},{})", formulas.coprime_catalan, (a, b))
@@ -281,7 +284,7 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
         )),
         check_rule2("upper", fam_k, fam_n, oracle),
         check_rule2("lower", fam_k, fam_n, oracle),
-        check_split_contract(max_a, max_b),
-        check_decomposition(max_a, max_b),
+        check_split_contract(max_a, max_b, count),
+        check_decomposition(max_a, max_b, count),
         *run_identity_checks(max_a, max_b),
     ]

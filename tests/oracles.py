@@ -10,8 +10,9 @@ walk_by_odometer is the enumeration as one odometer over all down steps,
 each word and diagram spliced from the one before.
 
 The two *_by_visits sweeps are the verify sweeps as they were before they
-kept one result per diagram: they redo every diagram at every visit, so a
-memo that dropped, reordered or repeated a failure would not match them.
+kept one result per diagram: they redo every diagram at every visit, each
+decomposition a fresh table, so a cache or a shared table that dropped,
+reordered or repeated a failure would not match them.
 """
 
 from collections import Counter
@@ -288,20 +289,19 @@ def split_contract_by_visits(max_a: int, max_b: int) -> CheckResult:
 
 
 def decomposition_by_visits(max_a: int, max_b: int) -> CheckResult:
-    """verify.check_decomposition, every diagram decomposed and counted at every visit."""
+    """verify.check_decomposition, every diagram decomposed afresh and counted at every visit."""
     res = CheckResult("decomposition-vs-oracle")
-    memo = {}
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
             for _, mu in diagrams.enumerate_paths(a, b):
                 want = diagrams.count_paths(mu)
-                got = decomposition.h_value(decomposition.decompose(mu, memo))
+                got = decomposition.h_value(decomposition.decompose(mu))
                 res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
             mu = diagrams.christoffel_diagram(a, b)
             want = diagrams.count_rect(a, b)
-            got = decomposition.h_value(decomposition.decompose(mu, memo))
+            got = decomposition.h_value(decomposition.decompose(mu))
             res.check(
                 got == want,
                 "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,

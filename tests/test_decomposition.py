@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,7 @@ from rectcat import (
 )
 from rectcat import decomposition as decomposition_mod
 from rectcat import verify
-from rectcat.decomposition import json_pieces
+from rectcat.decomposition import _build, json_pieces
 
 # Catalan numbers by Segner's recurrence, independent of formulas.catalan.
 CATALAN = [1]
@@ -144,15 +145,17 @@ def test_decompose_base_cases():
         assert decompose(iso_rows(n)) == (("iso", CATALAN[n], n),)
 
 
-def assert_split_at_scan_corner(mu, memo):
+def assert_split_at_scan_corner(mu, rows, at):
     # mu's split row names its slimmed part as row i.  Each diagram has one
-    # row in the memo, so i is the row of mu less the oracle's corner box
-    # exactly when decomposing that diagram adds no row and ends at row i.
-    root = decompose(mu, memo)[-1]
+    # row in the table, so i is the row of mu less the oracle's corner box
+    # exactly when building that diagram adds no row and returns row i.
+    root = rows[_build(mu, rows, at)]
     r = corner_by_scan(mu)
     assert (root[0] == "split") == bool(r), mu
     if r:
-        assert len(decompose(through_box_split(mu, r)[0], memo)) - 1 == root[2], mu
+        built = len(rows)
+        assert _build(through_box_split(mu, r)[0], rows, at) == root[2], mu
+        assert len(rows) == built, mu
 
 
 def test_decompose_corner_matches_scan_exhaustive():
@@ -163,9 +166,9 @@ def test_decompose_corner_matches_scan_exhaustive():
         for rows in subdiagrams_by_filter(christoffel_diagram(a, b))
     }
     assert len(diagrams) == 7229
-    memo = {}
+    rows, at = [], {}
     for mu in sorted(diagrams):
-        assert_split_at_scan_corner(mu, memo)
+        assert_split_at_scan_corner(mu, rows, at)
     # Both ways of finding the corner occur: I_{L+1} too large for the L rows
     # (the top row's box), and I_{L+1} inside (the topmost row past it).
     tops = {max_isosceles_by_scan(mu) == len(mu) + 1 for mu in diagrams if mu}
@@ -178,7 +181,7 @@ def test_decompose_corner_matches_scan_exhaustive():
 @example((5, 1))
 @example((4, 3, 2, 1))
 def test_decompose_corner_matches_scan_hypothesis(mu):
-    assert_split_at_scan_corner(mu, {})
+    assert_split_at_scan_corner(mu, [], {})
 
 
 def test_decompose_iso_leaf_exactly_on_staircases_exhaustive():
@@ -206,22 +209,21 @@ def test_decompose_is_deterministic():
     mu = christoffel_diagram(6, 9)
     first, second = decompose(mu), decompose(mu)
     assert first == second
-    # Without a caller's memo nothing outlives a call: the two tables share
-    # no row object but the constant one row.
+    # Nothing outlives a call: the two tables share no row object but the
+    # constant one row.
     ids = [{id(row) for row in rows if row[0] != "one"} for rows in (first, second)]
     assert not ids[0] & ids[1]
-    # Through one memo, every call returns a prefix of the one shared row
-    # list, as the very row objects, and a repeated call adds no row.
-    memo, longest = {}, ()
+    # Through one table, the builder only appends: the rows built before stay
+    # the very row objects, and a repeated build adds no row.
+    rows, at, built = [], {}, []
     for nu in [mu, *map(as_diagram, subdiagrams_by_filter(mu))]:
-        rows = decompose(nu, memo)
-        assert h_value(rows) == count_paths(nu)
-        assert all(x is y for x, y in zip(rows, longest))
-        longest = max(rows, longest, key=len)
-        again = decompose(nu, memo)
-        assert len(again) == len(rows) and all(x is y for x, y in zip(again, rows))
-        assert len(decompose((), memo)) <= len(longest)
-    assert decompose(mu, memo) == first
+        x = _build(nu, rows, at)
+        assert rows[x][1] == count_paths(nu)
+        assert all(old is row for old, row in zip(built, rows))
+        built = list(rows)
+        assert _build(nu, rows, at) == x and len(rows) == len(built)
+        assert _build((), rows, at) < len(rows)
+    assert tuple(rows[: at[mu] + 1]) == first
 
 
 def test_decompose_on_deep_staircase_keeps_recursion_limit(monkeypatch):
@@ -243,6 +245,20 @@ def test_tables_compare_and_hash_equal_on_deep_staircase():
     assert len({first, second}) == 1
 
 
+def assert_every_row_is_reached(rows, mu):
+    # Children come before their parents, and the walk down from the last
+    # row meets every row of the table.
+    seen, stack = set(), [len(rows) - 1]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if rows[x][0] == "split":
+                assert all(c < x for c in rows[x][2:]), (mu, x)
+                stack += rows[x][2:]
+    assert seen == set(range(len(rows))), mu
+
+
 def test_christoffel_tables_evaluate_with_own_catalan():
     for a in range(1, 11):
         for b in range(1, 16):
@@ -251,22 +267,23 @@ def test_christoffel_tables_evaluate_with_own_catalan():
             assert values[-1] == count_paths(christoffel_diagram(a, b)), (a, b)
             assert [row[1] for row in rows] == values, (a, b)
             assert h_value(rows) == values[-1]
-            seen, stack = set(), [len(rows) - 1]
-            while stack:
-                x = stack.pop()
-                if x not in seen:
-                    seen.add(x)
-                    if rows[x][0] == "split":
-                        assert all(c < x for c in rows[x][2:]), (a, b, x)
-                        stack += rows[x][2:]
-            assert seen == set(range(len(rows))), (a, b)
+            assert_every_row_is_reached(rows, (a, b))
+    # The text normal form expands every row: each table holds only the
+    # rows its root reaches, on every diagram of every rectangle up to 7x10.
+    checked = 0
+    for a in range(1, 8):
+        for b in range(1, 11):
+            for _, mu in enumerate_paths(a, b):
+                assert_every_row_is_reached(decompose(mu), mu)
+                checked += 1
+    assert checked == 5551
 
 
 def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
-    clean = verify.check_decomposition(3, 4)
+    clean = verify.check_decomposition(3, 4, cache(count_paths))
     assert clean.passed
     monkeypatch.setattr(decomposition_mod, "catalan", lambda n: catalan(n) + 1)
-    faulty = verify.check_decomposition(3, 4)
+    faulty = verify.check_decomposition(3, 4, cache(count_paths))
     assert faulty.cells == clean.cells
     # Every nonempty diagram has an iso row, so only the empty one still passes.
     empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
@@ -284,34 +301,34 @@ def test_values_are_computed_once_per_node(monkeypatch):
         return catalan(n)
 
     monkeypatch.setattr(decomposition_mod, "catalan", spy)
-    memo, paths = {}, list(enumerate_paths(5, 7))
-    tables = [decompose(mu, memo) for _, mu in paths]
-    values = [h_value(rows) for rows in tables]
-    # Each call ends on its diagram's row, so the longest table is every row built.
-    assert sorted(calls) == sorted(row[2] for row in max(tables, key=len) if row[0] == "iso")
-    # A second pass returns the very rows the first built, values and all.
+    rows, at, paths = [], {}, list(enumerate_paths(5, 7))
+    xs = [_build(mu, rows, at) for _, mu in paths]
+    values = [rows[x][1] for x in xs]
+    assert sorted(calls) == sorted(row[2] for row in rows if row[0] == "iso")
+    # A second pass adds no row and returns the rows the first built, values and all.
     calls.clear()
-    again = [decompose(mu, memo) for _, mu in paths]
-    assert [h_value(rows) for rows in again] == values
-    assert all(rows[-1] is old[-1] for rows, old in zip(again, tables))
+    built = list(rows)
+    assert [_build(mu, rows, at) for _, mu in paths] == xs
+    assert len(rows) == len(built) and all(old is row for old, row in zip(built, rows))
     assert calls == []
     for (_, mu), value in zip(paths, values):
         assert value == h_value(decompose(mu)) == count_paths(mu)
 
 
 def test_decomposition_sweep_memo_lives_for_one_call(monkeypatch):
-    memos = []
+    tables = []
 
-    def spy(mu, memo=None):  # note each memo the first time it is seen
-        if not any(memo is seen for seen in memos):
-            assert memo == {}
-            memos.append(memo)
-        return decompose(mu, memo)
+    def spy(mu, rows, at):  # note each table the first time it is seen
+        if not any(rows is seen for seen, _ in tables):
+            assert rows == [] and at == {}
+            assert not any(at is seen for _, seen in tables)
+            tables.append((rows, at))
+        return _build(mu, rows, at)
 
-    monkeypatch.setattr(decomposition_mod, "decompose", spy)
-    assert verify.check_decomposition(3, 4).passed
-    assert verify.check_decomposition(3, 4).passed
-    assert len(memos) == 2
+    monkeypatch.setattr(decomposition_mod, "_build", spy)
+    assert verify.check_decomposition(3, 4, cache(count_paths)).passed
+    assert verify.check_decomposition(3, 4, cache(count_paths)).passed
+    assert len(tables) == 2
 
 
 def test_faulty_value_makes_a_different_table(monkeypatch):
@@ -595,33 +612,6 @@ def test_text_normal_form_is_linear_on_deep_chain():
         tracemalloc.stop()
     assert text == "C2" + " + 1" * 7999
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
-
-
-def test_render_of_a_memo_prefix_expands_only_its_own_rows():
-    # The 18x27 rows stay in the prefix that (1,) * 200 returns; expanding
-    # the normal forms of their factors too takes about 31 MiB.
-    memo = {}
-    decompose(christoffel_diagram(18, 27), memo)
-    tracemalloc.start()
-    try:
-        text = render(decompose((1,) * 200, memo))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text == render(decompose((1,) * 200))
-    assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"
-
-
-def test_memo_prefixes_render_and_count_as_fresh_tables():
-    # verify's decomposition sweep over every diagram up to 5x7, through one
-    # memo: each prefix also holds the rows of the diagrams before it.
-    memo = {}
-    for a in range(1, 6):
-        for b in range(1, 8):
-            for _, mu in enumerate_paths(a, b):
-                rows, fresh = decompose(mu, memo), decompose(mu)
-                assert render(rows) == render(fresh), mu
-                assert expr_stats(rows) == expr_stats(fresh), mu
 
 
 def test_render_rejects_unknown_format():

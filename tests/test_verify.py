@@ -1,5 +1,7 @@
 """The verify sweeps do each distinct piece of work once per call, and say the same."""
 
+from functools import cache
+
 import pytest
 
 from oracles import decomposition_by_visits, split_contract_by_visits
@@ -50,12 +52,13 @@ FAULTS = {
 @pytest.mark.parametrize("bounds", [(1, 1), (3, 4), (6, 8), (8, 10), (12, 16)])
 def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
     FAULTS[fault](monkeypatch)
-    failures = []
+    # One diagram oracle for both sweeps, made after the fault, as run_verify makes it.
+    count, failures = cache(diagrams.count_paths), []
     for memo, visits in (
         (verify.check_split_contract, split_contract_by_visits),
         (verify.check_decomposition, decomposition_by_visits),
     ):
-        got, want = memo(*bounds), visits(*bounds)
+        got, want = memo(*bounds, count), visits(*bounds)
         assert (got.name, got.cells) == (want.name, want.cells)
         assert got.failures == want.failures
         failures += got.failures
@@ -91,3 +94,30 @@ def test_route_checks_share_one_oracle(monkeypatch):
     clean = verify.run_verify(8, 10, 4, 3)
     assert all(c.passed for c in clean)
     assert sum(c.cells for c in clean) == 3418
+
+
+def test_diagram_sweeps_share_one_oracle(monkeypatch):
+    # The split-contract and decomposition sweeps take the run's one cache of
+    # count_paths, so the run asks it once per distinct diagram; the calls
+    # count_rect makes for the rectangle oracle are not the sweeps'.
+    count_paths, count_rect, asked = diagrams.count_paths, diagrams.count_rect, []
+    in_rect = []
+
+    def rect_spy(a, b):
+        in_rect.append(True)
+        try:
+            return count_rect(a, b)
+        finally:
+            in_rect.pop()
+
+    def spy(mu):
+        if not in_rect:
+            asked.append(mu)
+        return count_paths(mu)
+
+    monkeypatch.setattr(diagrams, "count_rect", rect_spy)
+    monkeypatch.setattr(diagrams, "count_paths", spy)
+    checks = verify.run_verify(8, 10, 4, 3)
+    assert all(c.passed for c in checks)
+    assert len(set(asked)) == 240
+    assert len(asked) == 240
