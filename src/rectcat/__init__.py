@@ -23,8 +23,6 @@ from .decomposition import (
 from .diagrams import (
     Diagram,
     TooLarge,
-    TooManyLetters,
-    TooManyPaths,
     as_diagram,
     christoffel_diagram,
     count_paths,
@@ -52,8 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagram",
     "TooLarge",
-    "TooManyLetters",
-    "TooManyPaths",
     "as_diagram",
     "avoidance_value",
     "ballot_brute",

@@ -10,12 +10,13 @@ cap, is the one JSON integer among them.
 
 A handler returns (text, JSON results, failures).  decompose and enumerate
 build only the form that --json selects and leave the other None.  The text
-may be any iterable of pieces, each one or more whole lines with their line
-ends, and main writes each piece as it comes; enumerate's pieces hold the
-paths of one odometer setting each, so main does no work per line.  A result
-value may be JSON text already written, in pieces that may come from a
-generator, which main copies into the report as it stands.  A handler raises
-every error before it returns, so a refusal writes nothing to stdout.
+may be any iterable of pieces of text, and main writes each piece as it
+comes, so no joined copy is made: decompose's JSON tree goes out piece by
+piece, and enumerate's pieces hold the paths of one odometer setting each,
+so main does no work per line.  A result value may be JSON text already
+written, in pieces that may come from a generator, which main copies into
+the report as it stands.  A handler raises every error before it returns,
+so a refusal writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -135,9 +137,12 @@ def _cmd_decompose(args):
             **stats,
         }
         return None, results, failures
-    lines = [f"expr: {decomposition.render(expr, args.format)}\n"]
-    lines += [f"{key}: {v}\n" for key, v in stats.items()] + [f"FAIL: {f}\n" for f in failures]
-    return lines, None, failures
+    if args.format == "json":
+        form = decomposition.json_pieces(expr)
+    else:
+        form = [decomposition.render(expr)]
+    lines = [f"{key}: {v}\n" for key, v in stats.items()] + [f"FAIL: {f}\n" for f in failures]
+    return itertools.chain(["expr: "], form, ["\n"], lines), None, failures
 
 
 def _cmd_enumerate(args):
@@ -215,7 +220,7 @@ def _cmd_expand(args):
     count = functools.cache(
         lambda a, b: verify.ROUTES[verify.first_route(a, b, ("coprime", "bizley"))].count(a, b)
     )
-    terms, total, step, diff = verify.rule2_bridge(a, b, family, n, count)
+    terms, total, step, diff = verify.rule2_bridge(a, family, n, count)
     lines = [f"family: {family} (a={a}, b={b}, n={n})\n"]
     items = []
     for left, right, lc, rc in terms:

@@ -31,10 +31,10 @@ the references to each row, then expands the rows in one forward loop,
 moving t_i's terms into a row that is their one reference.  The JSON writer
 takes its text from json.dumps and joins a shared row's text once, when it
 meets the row again.  render(rows) is the sum-of-products normal form, one
-term per summand, and render(rows, "json") the expression tree in JSON, each
-split a sum of t_i and the product t_j * t_k, written straight from the rows
-by json_pieces, which the CLI also uses for its --json report.  Each form is
-built only when asked.
+term per summand, and json_pieces(rows) the expression tree in JSON, each
+split a sum of t_i and the product t_j * t_k, as pieces of text written
+straight from the rows; "".join(json_pieces(rows)) is the compact tree.  Each
+form has this one writer and is built only when asked.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def expr_stats(rows) -> tuple[int, int, int]:
 
 def _normal_terms(rows) -> list[str]:
     # Distribute products over sums; a term is its iso labels joined by "*",
-    # "" the empty product, construction order kept: a split's terms are
+    # "1" the empty product, construction order kept: a split's terms are
     # t_i's, then the t_j * t_k products.  refs counts the references to each
     # row, the last row's one from outside included.  Forward, t_i's list is
     # moved into its parent when that parent is its one reference, and copied
@@ -124,12 +124,13 @@ def _normal_terms(rows) -> list[str]:
     flat: dict[int, list[str]] = {}
     for x, row in enumerate(rows):
         if row[0] != "split":
-            flat[x] = [f"C{row[2]}" if row[0] == "iso" else ""]
+            flat[x] = [f"C{row[2]}" if row[0] == "iso" else "1"]
             continue
         _, _, i, j, k = row
         terms = flat.pop(i) if refs[i] == 1 else list(flat[i])
-        # "" drops out of a product with anything; t_j outermost.
-        terms += [f"{s}*{t}" if s and t else s or t for s in flat[j] for t in flat[k]]
+        # A "1" factor drops out of a product; t_j outermost.
+        terms += [t if s == "1" else s if t == "1" else f"{s}*{t}"
+                  for s in flat[j] for t in flat[k]]
         flat[x] = terms
     return flat[len(rows) - 1]
 
@@ -182,15 +183,10 @@ def json_pieces(rows, sort_keys: bool = False) -> list[str]:
     return out
 
 
-def render(rows, fmt: str = "text") -> str:
-    """Render the expression as one string.
+def render(rows) -> str:
+    """The sum-of-products normal form as one string.
 
-    "text" flattens to sum-of-products normal form: terms joined by " + ",
-    factors by "*", I_n printed as Cn, an all-one product as "1".
-    "json" is the compact JSON text joined from ``json_pieces``.
+    Terms are joined by " + " and factors by "*"; I_n prints as Cn, and an
+    all-one product as "1".
     """
-    if fmt == "text":
-        return " + ".join(term or "1" for term in _normal_terms(rows))
-    if fmt == "json":
-        return "".join(json_pieces(rows))
-    raise ValueError(f"unknown render format {fmt!r}")
+    return " + ".join(_normal_terms(rows))

@@ -61,10 +61,6 @@ class TooLarge(ValueError):
         self.what, self.size, self.cap = what, size, cap
 
 
-# The paths and letters refusals' earlier names, kept importable for callers.
-TooManyPaths = TooManyLetters = TooLarge
-
-
 def admit(what: str, size: int, cap: int | None = None) -> None:
     """Refuse ``size`` of ``what`` past ``cap``, by default CAPS[what]."""
     cap = CAPS[what] if cap is None else cap

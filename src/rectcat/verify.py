@@ -104,9 +104,11 @@ def check_vs_oracle(name: str, oracle, cases) -> CheckResult:
     return res
 
 
-def rule2_bridge(a: int, b: int, family: str, n: int, oracle) -> tuple[list, int, str, int]:
-    """The rule2 terms of (a, b) with their counts, and the width step they sum to.
+def rule2_bridge(a: int, family: str, n: int, oracle) -> tuple[list, int, str, int]:
+    """The rule2 terms at height a with their counts, and the width step they sum to.
 
+    The step is count(a, b+1) - count(a, b) at the upper family's b = a(n+1) - 2,
+    and count(a, b) - count(a, b-1) at the lower family's b = an + 2.
     ``oracle(a, b)`` counts a rectangle's paths.  Returns (terms, sum, step
     label, step), each term (left, right, left count, right count).
     """
@@ -115,7 +117,8 @@ def rule2_bridge(a: int, b: int, family: str, n: int, oracle) -> tuple[list, int
         for left, right in comparison.rule2_terms(a, family, n)
     ]
     total = sum(lc * rc for _, _, lc, rc in terms)
-    wide, narrow = (b + 1, b) if family == "upper" else (b, b - 1)
+    wide = a * (n + 1) - 1 if family == "upper" else a * n + 2
+    narrow = wide - 1
     diff = oracle(a, wide) - oracle(a, narrow)
     return terms, total, f"count({a},{wide}) - count({a},{narrow})", diff
 
@@ -126,8 +129,7 @@ def check_rule2(family: str, fam_k: int, fam_n: int, oracle) -> CheckResult:
     for k in range(1, fam_k + 1):
         a = 2 * k
         for n in range(0 if family == "lower" else 1, fam_n + 1):
-            b = a * n + 2 if family == "lower" else a * (n + 1) - 2
-            _, got, _, diff = rule2_bridge(a, b, family, n, oracle)
+            _, got, _, diff = rule2_bridge(a, family, n, oracle)
             res.check(
                 got == diff,
                 "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,

@@ -403,24 +403,34 @@ def test_decompose_reports_match_render(capsys):
 
 @pytest.mark.parametrize(
     "flags, formats",
-    [([], ["text"]), (["--format", "json"], ["json"]), (["--json"], ["text"])],
+    [
+        ([], ["render"]),
+        (["--format", "json"], ["json_pieces(sort_keys=False)"]),
+        (["--json"], ["json_pieces(sort_keys=True)", "render"]),
+    ],
 )
 def test_decompose_renders_each_form_once(capsys, monkeypatch, flags, formats):
+    # Each form has one writer: render the normal form, json_pieces the tree.
     calls = []
-    real = decomposition.render
+    render, json_pieces = decomposition.render, decomposition.json_pieces
 
-    def counting(expr, fmt="text"):
-        calls.append(fmt)
-        return real(expr, fmt)
+    def render_spy(expr):
+        calls.append("render")
+        return render(expr)
+
+    def json_pieces_spy(expr, sort_keys=False):
+        calls.append(f"json_pieces(sort_keys={sort_keys})")
+        return json_pieces(expr, sort_keys=sort_keys)
 
     def no_loads(*args, **kwargs):
         raise AssertionError("decompose re-parses its own JSON")
 
-    monkeypatch.setattr(decomposition, "render", counting)
+    monkeypatch.setattr(decomposition, "render", render_spy)
+    monkeypatch.setattr(decomposition, "json_pieces", json_pieces_spy)
     monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps, loads=no_loads))
     code, out, err = run(capsys, "decompose", "6", "9", *flags)
     assert (code, err) == (0, "")
-    assert calls == formats
+    assert sorted(calls) == formats
 
 
 def test_decompose_answers_on_deep_staircase(capsys):
@@ -432,8 +442,27 @@ def test_decompose_answers_on_deep_staircase(capsys):
     code, out, err = run(capsys, "decompose", "2", "60000", "--format", "json")
     assert (code, err) == (0, "")
     expr = decomposition.decompose(diagrams.christoffel_diagram(2, 60000))
-    assert out.startswith(f"expr: {decomposition.render(expr, 'json')}\n")
+    assert out.startswith("expr: " + "".join(decomposition.json_pieces(expr)) + "\n")
     assert out.endswith("depth: 30001\n")
+
+
+def test_decompose_streams_the_json_tree_in_200_mib(tmp_path):
+    # 127,919,070 bytes of compact tree go out piece by piece, so a child
+    # limited to 200 MiB writes them without ever joining them.
+    path = tmp_path / "tree.txt"
+    with open(path, "w") as out:
+        proc, _ = run_limited("decompose", "20", "30", "--format", "json", mib=200, stdout=out)
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        fh.seek(-min(size, 200), os.SEEK_END)
+        tail = fh.read().decode()
+    path.unlink()  # 128 MB that no later test reads
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert size == 127919070
+    summands, leaves, depth = decomposition.expr_stats(
+        decomposition.decompose(diagrams.christoffel_diagram(20, 30))
+    )
+    assert tail.endswith(f"\nsummands: {summands}\nleaves: {leaves}\ndepth: {depth}\n")
 
 
 def test_decompose_argument_errors(capsys):
@@ -545,8 +574,11 @@ def test_enumerate_limit(capsys):
     assert err == "error: too many paths: 5 exceeds the cap of 4\n"
 
 
-def run_limited(*argv, mib=400):
-    """Run the CLI in a child limited to ``mib`` MiB of address space: (process, seconds)."""
+def run_limited(*argv, mib=400, stdout=subprocess.PIPE):
+    """Run the CLI in a child limited to ``mib`` MiB of address space: (process, seconds).
+
+    The child's stdout is captured unless ``stdout`` names a file to write it to.
+    """
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -556,7 +588,7 @@ def run_limited(*argv, mib=400):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "rectcat.cli", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": src},
     )
     return proc, time.perf_counter() - start

@@ -19,8 +19,6 @@ from oracles import (
 )
 from rectcat import (
     TooLarge,
-    TooManyLetters,
-    TooManyPaths,
     as_diagram,
     catalan,
     christoffel_diagram,
@@ -352,7 +350,7 @@ def test_enumerate_long_thin_rectangle():
 
 
 def test_enumerate_cap():
-    with pytest.raises(TooManyPaths) as exc:
+    with pytest.raises(TooLarge) as exc:
         enumerate_paths(4, 4, cap=10)
     assert (exc.value.what, exc.value.size) == ("paths", 14)
     assert exc.value.cap == 10
@@ -362,7 +360,7 @@ def test_enumerate_cap():
 
 def test_enumerate_refuses_when_called():
     # Every refusal comes from the call itself, not from the first next().
-    with pytest.raises(TooManyPaths):
+    with pytest.raises(TooLarge):
         enumerate_paths(4, 4, cap=10)
     with pytest.raises(OverflowError):
         enumerate_paths(1, 10**20)
@@ -457,7 +455,7 @@ def test_enumerate_counts_once(monkeypatch):
         for b in range(1, 14):
             assert diagrams._heads(a, b)[-1] == count_rect(a, b), (a, b)
     monkeypatch.setattr(diagrams, "count_paths", None)
-    with pytest.raises(TooManyPaths, match="^too many paths: 227 exceeds the cap of 226$"):
+    with pytest.raises(TooLarge, match="^too many paths: 227 exceeds the cap of 226$"):
         enumerate_paths(6, 8, cap=226)
     assert len(list(enumerate_paths(13, 9))) == 22610
 
@@ -505,7 +503,7 @@ def test_enumerate_tables_stay_small(a, b):
 
 
 def test_enumerate_refuses_past_the_letters_cap():
-    with pytest.raises(TooManyLetters) as exc:
+    with pytest.raises(TooLarge) as exc:
         enumerate_paths(1, 10**12)
     assert (exc.value.what, exc.value.size) == ("letters", 10**12 + 2)
     assert exc.value.cap == diagrams.CAPS["letters"]
@@ -518,11 +516,9 @@ def test_enumerate_refuses_past_the_letters_cap():
 
 
 def test_every_refusal_is_one_too_large():
-    # The old names are the one class, so `except TooManyPaths` also catches
-    # the letters refusal; admit reads CAPS unless given a cap.
-    assert TooManyPaths is TooManyLetters is TooLarge
+    # One class refuses every size; admit reads CAPS unless given a cap.
     assert issubclass(TooLarge, ValueError)
-    with pytest.raises(TooManyPaths, match="^too many letters: "):
+    with pytest.raises(TooLarge, match="^too many letters: "):
         enumerate_paths(1, 10**12)
     for what, cap in diagrams.CAPS.items():
         diagrams.admit(what, cap)
