@@ -46,8 +46,8 @@ def _through_box_split(mu: Diagram, r: int) -> tuple[Diagram, Diagram, Diagram]:
     # Only a top row of one box shrinks to zero.  The rows below r are at least
     # j = mu_r and weakly decrease, so those shifting down to zero are a suffix.
     j = mu[r - 1]
-    slimmed = mu[: r - 1] + (j - 1,) * (j > 1) + mu[r:]
-    return slimmed, mu[r:], tuple(x - j for x in mu[: r - 1] if x > j)
+    below, upper = mu[: r - 1], mu[r:]
+    return below + (j - 1,) * (j > 1) + upper, upper, tuple([x - j for x in below if x > j])
 
 
 def theorem_fit(a: int, b: int) -> tuple[str, int, int] | None:

@@ -27,19 +27,23 @@ without recursion, so the table holds exactly the rows its last row reaches
 and nothing is kept between calls.
 
 expr_stats is one forward loop over the rows.  The text normal form counts
-the references to each row, then expands the rows in one forward loop,
-moving t_i's terms into a row that is their one reference.  The JSON writer
-takes its text from json.dumps and joins a shared row's text once, when it
-meets the row again.  render(rows) is the sum-of-products normal form, one
-term per summand, and json_pieces(rows) the expression tree in JSON, each
-split a sum of t_i and the product t_j * t_k, as pieces of text written
-straight from the rows; "".join(json_pieces(rows)) is the compact tree.  Each
-form has this one writer and is built only when asked.
+the references to each row, then writes the rows in one forward loop as
+joined text, not one string a term: a row's text is a list of chunks of
+joined terms, moved on into the parent that takes it as t_i at its last
+reference, and joined into one string only when a parent needs it as a
+factor.  Each term u of t_j then multiplies all of t_k in one str.replace.
+The JSON writer takes its text from json.dumps and joins a shared row's text
+once, when it meets the row again.  render(rows) is the sum-of-products
+normal form, one term per summand, and json_pieces(rows) the expression tree
+in JSON, each split a sum of t_i and the product t_j * t_k, as pieces of
+text written straight from the rows; "".join(json_pieces(rows)) is the
+compact tree.  Each form has this one writer and is built only when asked.
 """
 
 from __future__ import annotations
 
 import json
+from operator import add
 
 from .comparison import _through_box_split
 from .diagrams import as_diagram
@@ -58,14 +62,16 @@ def _build(mu, rows: list, at: dict) -> int:
 
     ``at`` maps each diagram with a row in ``rows`` to that row's index.
     """
-    # Items are (diagram, None) to expand and (diagram, parts) to assemble
-    # once its parts are built.  Parts have fewer boxes than their diagram,
-    # so no diagram is expanded while it is still being assembled.
-    stack = [(mu, None)]
+    # Items are diagrams to expand and [diagram, slimmed, upper, lower] lists
+    # to assemble once their parts are built.  Parts have fewer boxes than
+    # their diagram, so no diagram is expanded while it is still being
+    # assembled.
+    stack: list = [mu]
     while stack:
-        nu, parts = stack.pop()
-        if parts is not None:
-            i, j, k = (at[part] for part in parts)
+        nu = stack.pop()
+        if nu.__class__ is list:
+            nu, slimmed, upper, lower = nu
+            i, j, k = at[slimmed], at[upper], at[lower]
             at[nu] = len(rows)
             rows.append(("split", rows[i][1] + rows[j][1] * rows[k][1], i, j, k))
             continue
@@ -79,7 +85,7 @@ def _build(mu, rows: list, at: dict) -> int:
         # I_top's, so r ends in a corner.  With no r, nu is I_top or empty.
         top = len(nu) + 1
         r = len(nu)
-        if all(m + x >= top for x, m in enumerate(nu, 1)):
+        if r and min(map(add, nu, range(1, top))) >= top:
             while r and nu[r - 1] + r == top:
                 r -= 1
         if not r:
@@ -87,8 +93,8 @@ def _build(mu, rows: list, at: dict) -> int:
             rows.append(("iso", catalan(top), top) if nu else ("one", 1))
             continue
         parts = _through_box_split(nu, r)
-        stack.append((nu, parts))
-        stack.extend((part, None) for part in parts if part not in at)
+        stack.append([nu, *parts])
+        stack += parts
     return at[mu]
 
 
@@ -107,32 +113,6 @@ def expr_stats(rows) -> tuple[int, int, int]:
         else:
             stats.append((1, 1, 1))
     return stats[-1]
-
-
-def _normal_terms(rows) -> list[str]:
-    # Distribute products over sums; a term is its iso labels joined by "*",
-    # "1" the empty product, construction order kept: a split's terms are
-    # t_i's, then the t_j * t_k products.  refs counts the references to each
-    # row, the last row's one from outside included.  Forward, t_i's list is
-    # moved into its parent when that parent is its one reference, and copied
-    # otherwise.
-    refs = [0] * (len(rows) - 1) + [1]
-    for row in rows:
-        if row[0] == "split":
-            for y in row[2:]:
-                refs[y] += 1
-    flat: dict[int, list[str]] = {}
-    for x, row in enumerate(rows):
-        if row[0] != "split":
-            flat[x] = [f"C{row[2]}" if row[0] == "iso" else "1"]
-            continue
-        _, _, i, j, k = row
-        terms = flat.pop(i) if refs[i] == 1 else list(flat[i])
-        # A "1" factor drops out of a product; t_j outermost.
-        terms += [t if s == "1" else s if t == "1" else f"{s}*{t}"
-                  for s in flat[j] for t in flat[k]]
-        flat[x] = terms
-    return flat[len(rows) - 1]
 
 
 def json_pieces(rows, sort_keys: bool = False) -> list[str]:
@@ -189,4 +169,46 @@ def render(rows) -> str:
     Terms are joined by " + " and factors by "*"; I_n prints as Cn, and an
     all-one product as "1".
     """
-    return " + ".join(_normal_terms(rows))
+    # A term holds only "C", digits and "*", each "*" followed by "C", and
+    # "1" is a term on its own.  So " + " occurs only between terms, and when
+    # u, a term other than "1", multiplies t term by term, "*1" occurs only
+    # where a "1" of t took u as a factor: deleting it leaves u.  A row's text
+    # is a list of chunks, each some of its terms joined: t_i's chunks, then
+    # the t_j * t_k products, t_j outermost.  refs counts the references to
+    # each row not yet met, the last row's one from outside included.  At its
+    # last reference a row's chunks move into the parent taking it as t_i, or
+    # are dropped after use as a factor; a factor is joined once.
+    refs = [0] * (len(rows) - 1) + [1]
+    for row in rows:
+        if row[0] == "split":
+            for y in row[2:]:
+                refs[y] += 1
+    chunks: list = [None] * len(rows)
+    for x, row in enumerate(rows):
+        if row[0] != "split":
+            chunks[x] = [f"C{row[2]}" if row[0] == "iso" else "1"]
+            continue
+        _, _, i, j, k = row
+        factors = []
+        for y in j, k:
+            refs[y] -= 1
+            text = chunks[y]
+            if not refs[y]:
+                chunks[y] = None
+            if len(text) > 1:
+                text[:] = [" + ".join(text)]
+            factors.append(text[0])
+        s, t = factors
+        refs[i] -= 1
+        terms = chunks[i]
+        if refs[i]:
+            terms = list(terms)
+        else:
+            chunks[i] = None
+        for u in s.split(" + "):
+            if u == "1":
+                terms.append(t)
+            else:
+                terms.append((u + "*" + t.replace(" + ", " + " + u + "*")).replace("*1", ""))
+        chunks[x] = terms
+    return " + ".join(chunks[-1])

@@ -465,6 +465,30 @@ def test_decompose_streams_the_json_tree_in_200_mib(tmp_path):
     assert tail.endswith(f"\nsummands: {summands}\nleaves: {leaves}\ndepth: {depth}\n")
 
 
+def test_decompose_writes_the_normal_form_in_200_mib(tmp_path):
+    # 1,430,715 summands in 23,696,565 bytes of report: the normal form is
+    # built as joined chunks, not one string a summand, so a child limited to
+    # 200 MiB writes it, as the text report and as --json's "text".
+    path = tmp_path / "form.txt"
+    with open(path, "w") as out:
+        proc, _ = run_limited("decompose", "20", "30", mib=200, stdout=out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = path.read_text()
+    assert len(report) == 23696565
+    assert report.endswith("\nsummands: 1430715\nleaves: 2861429\ndepth: 92\n")
+    text = report[len("expr: "): report.index("\n")]
+    del report
+    with open(path, "w") as out:
+        proc, _ = run_limited("decompose", "20", "30", "--json", mib=200, stdout=out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    tail = f'"summands": 1430715, "text": "{text}", "value": "1113015378438"}}, "schema_version": 1}}\n'
+    with open(path) as fh:
+        fh.seek(path.stat().st_size - len(tail))
+        same = fh.read() == tail  # a plain bool, so pytest does not diff 24 MB strings
+    path.unlink()  # 169 MB that no later test reads
+    assert same
+
+
 def test_decompose_argument_errors(capsys):
     code, _, err = run(capsys, "decompose", "--diagram", "1,x")
     assert code == 2

@@ -1,10 +1,12 @@
 """Sum/product rewriting over isosceles staircases and its Catalan evaluation."""
 
+import hashlib
 import json
 import os
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -203,6 +205,23 @@ def test_decompose_structure_frozen():
         ("split", 3, 2, 1),
         ("split", 4, 0, 0),
     )
+
+
+@pytest.mark.parametrize(
+    "a, b, size, digest",
+    [
+        (23, 29, 780, "3fc5c27bc375a803362cd610990ccd87fbbf97454d53962ee4a265c3337f88c4"),
+        (5, 40, 534, "91aa6924ca60087c16dd708a0a6b76dd3608c92bc757c6c85b54d3e33f43dfd9"),
+        (22, 19, 118, "89b7d8069626155277d238aff16f340dcb254bee44fc5e9307f267bc397a322f"),
+        (30, 45, 12057, "dd2d58380a66ae54f25ea195707c97b0a41f386df1c97331a396119b919d6ee7"),
+    ],
+)
+def test_decompose_tables_frozen_by_digest(a, b, size, digest):
+    # The rows, their order and their values: a build that reorders rows or
+    # changes a value changes the digest.
+    rows = decompose(christoffel_diagram(a, b))
+    assert len(rows) == size
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_decompose_is_deterministic():
@@ -455,6 +474,45 @@ def test_render_text_matches_normal_form_oracle_on_subdiagrams(mu):
     assert render(rows) == oracle_text(rows)
 
 
+def random_table(rng, size, max_summands=300):
+    """A table of ``size`` random rows; a split that would pass ``max_summands`` is a leaf."""
+    spec, summands = [], []
+    for x in range(size):
+        i, j, k = (rng.randrange(x) for _ in range(3)) if x else (0, 0, 0)
+        if x and rng.random() < 0.6 and summands[i] + summands[j] * summands[k] <= max_summands:
+            spec.append(("split", i, j, k))
+            summands.append(summands[i] + summands[j] * summands[k])
+        else:
+            # C1, C10, C11 and C12 put a "1" right after a "C" in a term.
+            spec.append(("one",) if rng.random() < 0.35 else ("iso", rng.randint(1, 12)))
+            summands.append(1)
+    return table(*spec)
+
+
+def test_render_text_matches_normal_form_oracle_on_random_tables():
+    # Every prefix of a table is a table, so each split row is rendered as a
+    # root, and the cases of a product t_j * t_k are counted as they occur.
+    rng = random.Random(20150)
+    seen = Counter()
+    for _ in range(500):
+        rows = random_table(rng, rng.randint(1, 9))
+        for x, row in enumerate(rows):
+            prefix = rows[: x + 1]
+            assert render(prefix) == oracle_text(prefix), prefix
+            if row[0] == "split":
+                _, _, i, j, k = row
+                tj, tk = normal_form(rows, j), normal_form(rows, k)
+                seen["several terms in t_j"] += len(tj) > 1
+                seen["1 in t_j"] += () in tj
+                seen["1 in t_k"] += () in tk
+                seen["1 on both sides"] += () in tj and () in tk
+                seen["1 + 1"] += normal_form(rows, x).count(()) > 1
+                seen["one row as i, j and k"] += i == j == k
+    cases = ["several terms in t_j", "1 in t_j", "1 in t_k", "1 on both sides", "1 + 1",
+             "one row as i, j and k"]
+    assert all(seen[case] for case in cases), seen
+
+
 @pytest.mark.parametrize(
     "expr, text",
     [
@@ -472,6 +530,15 @@ def test_render_text_matches_normal_form_oracle_on_subdiagrams(mu):
             "1 + C2*C4 + C2*C5 + C3*C4 + C3*C5",
         ),
         (table(("one",), ("iso", 2), ("split", 0, 1, 0), ("split", 2, 0, 0)), "1 + C2 + 1"),
+        (
+            table(
+                ("one",), ("iso", 10), ("iso", 3),
+                ("split", 0, 1, 0),  # 1 + C10
+                ("split", 3, 0, 0),  # 1 + C10 + 1
+                ("split", 2, 2, 4),  # C3 + C3*(1 + C10 + 1)
+            ),
+            "C3 + C3 + C3*C10 + C3",
+        ),
     ],
 )
 def test_render_text_hand_built_products(expr, text):
