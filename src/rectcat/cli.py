@@ -133,7 +133,8 @@ def _cmd_decompose(args):
         results = {
             "diagram": list(mu),
             "expr": _Verbatim(decomposition.json_pieces(expr, sort_keys=True)),
-            "text": decomposition.render(expr),
+            # A term holds no character JSON escapes, so the text is its own JSON string.
+            "text": _Verbatim(['"', decomposition.render(expr), '"']),
             **stats,
         }
         return None, results, failures

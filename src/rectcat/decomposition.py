@@ -26,23 +26,21 @@ decompose builds a fresh table at each call, with an explicit stack and
 without recursion, so the table holds exactly the rows its last row reaches
 and nothing is kept between calls.
 
-expr_stats is one forward loop over the rows.  The text normal form counts
-the references to each row, then writes the rows in one forward loop as
-joined text, not one string a term: a row's text is a list of chunks of
-joined terms, moved on into the parent that takes it as t_i at its last
-reference, and joined into one string only when a parent needs it as a
-factor.  Each term u of t_j then multiplies all of t_k in one str.replace.
-The JSON writer takes its text from json.dumps and joins a shared row's text
-once, when it meets the row again.  render(rows) is the sum-of-products
-normal form, one term per summand, and json_pieces(rows) the expression tree
-in JSON, each split a sum of t_i and the product t_j * t_k, as pieces of
-text written straight from the rows; "".join(json_pieces(rows)) is the
-compact tree.  Each form has this one writer and is built only when asked.
+expr_stats is one forward loop over the rows, and so is _write, the one
+writer of both text forms: render(rows), the sum-of-products normal form,
+one term per summand, and json_pieces(rows), the expression tree in JSON,
+each split a sum of t_i and the product t_j * t_k, as pieces of text whose
+join is the compact tree.  _write counts the references to each row, then
+writes the rows in order, a row's text a list of chunks: at its last
+reference a row's chunks move into its parent, and a row referenced again
+is joined into one string once, which every parent shares.  Neither form
+holds one string a term or a node, and each is built only when asked.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from operator import add
 
 from .comparison import _through_box_split
@@ -115,6 +113,43 @@ def expr_stats(rows) -> tuple[int, int, int]:
     return stats[-1]
 
 
+def _write(rows, leaf, split, sep: str):
+    """The last row's text as chunks, from one forward loop over the rows.
+
+    leaf(row) is a leaf's chunks, a list or a deque, and split(t_i, t_j, t_k)
+    a split row's, made by changing t_i alone.  refs counts the references
+    not yet met.  At its last one a row's chunks move into the parent; a row
+    referenced again is joined by ``sep`` into one chunk, once, and every
+    parent shares that string.  t_i is taken first, and copied when it is
+    referenced again, so a split changes its own t_i even when t_i is also
+    t_j or t_k.
+    """
+    refs = [0] * len(rows)
+    for row in rows:
+        if row[0] == "split":
+            for y in row[2:]:
+                refs[y] += 1
+    chunks: list = [None] * len(rows)
+    for x, row in enumerate(rows):
+        if row[0] != "split":
+            chunks[x] = leaf(row)
+            continue
+        taken = []
+        for y in row[2:]:
+            refs[y] -= 1
+            text = chunks[y]
+            if not refs[y]:
+                chunks[y] = None
+            else:
+                if len(text) > 1:
+                    chunks[y] = text = type(text)([sep.join(text)])
+                if not taken:
+                    text = text.copy()
+            taken.append(text)
+        chunks[x] = split(*taken)
+    return chunks[-1]
+
+
 def json_pieces(rows, sort_keys: bool = False) -> list[str]:
     """The expression tree's JSON text as strings to be written in order.
 
@@ -123,11 +158,7 @@ def json_pieces(rows, sort_keys: bool = False) -> list[str]:
     product of t_j and t_k.  Joined, the pieces are that tree as
     json.dumps(..., separators=(",", ":")) writes it, keys in schema order,
     or as json.dumps(..., sort_keys=True) writes it when ``sort_keys`` is
-    set.  They are written straight from the rows in one depth-first walk,
-    without recursion, and are only ever appended.  A split row met for the
-    first time is written as its own pieces, and the span they fill is
-    noted; met again, that span is joined into one string, which this and
-    every later occurrence repeat.
+    set.  _write makes them, so a shared row's text is one string, made once.
     """
     style = {"sort_keys": True} if sort_keys else {"separators": (",", ":")}
     # One skeleton node of each kind, cut where an iso's n or a split's
@@ -137,30 +168,20 @@ def json_pieces(rows, sort_keys: bool = False) -> list[str]:
         for node in ({"type": "one"}, {"type": "iso", "n": None},
                      {"type": "sum", "terms": [None, {"type": "prod", "factors": [None, None]}]})
     )
-    written: dict[int, tuple[int, int] | str] = {}  # row index -> span, then text
-    out: list[str] = []
-    # Items are row indices to write, text to copy, or (start, row index)
-    # where a row's pieces end.
-    stack: list = [len(rows) - 1]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, tuple):
-            start, x = item
-            written[x] = (start, len(out))
-        elif item in written:
-            text = written[item]
-            if isinstance(text, tuple):
-                written[item] = text = "".join(out[slice(*text)])
-            out.append(text)
-        elif rows[item][0] == "split":
-            _, _, i, j, k = rows[item]
-            stack += ((len(out), item), closing, k, sep, j, middle, i)
-            out.append(opening)
-        else:
-            out.append(f"{iso[0]}{rows[item][2]}{iso[1]}" if rows[item][0] == "iso" else one)
-    return out
+
+    def leaf(row):
+        return deque([f"{iso[0]}{row[2]}{iso[1]}" if row[0] == "iso" else one])
+
+    def split(node, s, t):
+        node.appendleft(opening)  # in one step, node being a deque
+        node.append(middle)
+        node += s
+        node.append(sep)
+        node += t
+        node.append(closing)
+        return node
+
+    return list(_write(rows, leaf, split, ""))
 
 
 def render(rows) -> str:
@@ -172,43 +193,19 @@ def render(rows) -> str:
     # A term holds only "C", digits and "*", each "*" followed by "C", and
     # "1" is a term on its own.  So " + " occurs only between terms, and when
     # u, a term other than "1", multiplies t term by term, "*1" occurs only
-    # where a "1" of t took u as a factor: deleting it leaves u.  A row's text
-    # is a list of chunks, each some of its terms joined: t_i's chunks, then
-    # the t_j * t_k products, t_j outermost.  refs counts the references to
-    # each row not yet met, the last row's one from outside included.  At its
-    # last reference a row's chunks move into the parent taking it as t_i, or
-    # are dropped after use as a factor; a factor is joined once.
-    refs = [0] * (len(rows) - 1) + [1]
-    for row in rows:
-        if row[0] == "split":
-            for y in row[2:]:
-                refs[y] += 1
-    chunks: list = [None] * len(rows)
-    for x, row in enumerate(rows):
-        if row[0] != "split":
-            chunks[x] = [f"C{row[2]}" if row[0] == "iso" else "1"]
-            continue
-        _, _, i, j, k = row
-        factors = []
-        for y in j, k:
-            refs[y] -= 1
-            text = chunks[y]
-            if not refs[y]:
-                chunks[y] = None
-            if len(text) > 1:
-                text[:] = [" + ".join(text)]
-            factors.append(text[0])
-        s, t = factors
-        refs[i] -= 1
-        terms = chunks[i]
-        if refs[i]:
-            terms = list(terms)
-        else:
-            chunks[i] = None
-        for u in s.split(" + "):
+    # where a "1" of t took u as a factor: deleting it leaves u.  A row's
+    # chunks are some of its terms joined: t_i's chunks, then the t_j * t_k
+    # products, t_j outermost, so each term of t_j multiplies all of t_k in
+    # one str.replace.
+
+    def split(terms, s, t):
+        t = " + ".join(t)
+        for u in " + ".join(s).split(" + "):
             if u == "1":
                 terms.append(t)
             else:
                 terms.append((u + "*" + t.replace(" + ", " + " + u + "*")).replace("*1", ""))
-        chunks[x] = terms
-    return " + ".join(chunks[-1])
+        return terms
+
+    chunks = _write(rows, lambda row: [f"C{row[2]}" if row[0] == "iso" else "1"], split, " + ")
+    return " + ".join(chunks)

@@ -373,15 +373,10 @@ def _depth(a: int, b: int, heads: list[int]) -> int:
     paths.  Counting backward costs up to about 4 * _TABLE a level.  The
     answer is 0 without it when 8 * _TABLE a level, a generous bound on
     that cost, is more than the tables could save, which is _PATH - _ITEM
-    and fewer than a odometer steps on each path, and when the last level
-    alone breaks the budget: its (m + 1) * m / 2 entries for
-    m = b*(a-1)//a + 1 are each charged at least b + 102 - m letters.
+    and fewer than a odometer steps on each path.
     """
     total = heads[-1]
-    m = b * (a - 1) // a + 1
     if (a + _PATH - _ITEM) * total <= 8 * _TABLE * a:
-        return 0
-    if (m + 1) * m // 2 * (b + 102 - m) > _TABLE_LETTERS:
         return 0
     # Forward: heads[p - z] odometer settings over the first p >= z down
     # steps, z = ceil(a/b), each writing position p - 1; steps[p - z + 1],
@@ -397,7 +392,7 @@ def _depth(a: int, b: int, heads: list[int]) -> int:
     # level counted.  A word of level j has a - j + b - y letters, so the
     # first test is a cheap lower bound of the second.
     best, least = 0, steps[-1] + _PATH * total
-    n = [1] * m
+    n = [1] * (b * (a - 1) // a + 1)
     built = below = 0
     for j, settings, written in zip(range(a - 1, z - 1, -1), heads[-2::-1], steps[-2::-1]):
         bound = b * j // a

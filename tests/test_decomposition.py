@@ -624,27 +624,53 @@ def test_json_writer_on_hand_built_dags(expr):
     assert_writer_matches_dumps(expr)
 
 
-def test_json_writer_writes_a_shared_node_once():
-    # The first occurrence is written as its own pieces; the second joins
-    # them once, and every later occurrence repeats that very string.
+def test_json_writer_joins_a_shared_row_once():
+    # Row 3, referenced three times, is joined into one string at its first
+    # reference, and every occurrence repeats that very string.
     pieces = json_pieces(table(*SHARED, ("split", 3, 3, 3)))
-    own = json_pieces(table(*SHARED))
-    text, k = "".join(own), len(own)
+    text = "".join(json_pieces(table(*SHARED)))
     assert pieces == [
-        '{"type":"sum","terms":[', *own, ',{"type":"prod","factors":[', text, ",", text, "]}]}"
+        '{"type":"sum","terms":[', text, ',{"type":"prod","factors":[', text, ",", text, "]}]}"
     ]
-    assert pieces[k + 4] is pieces[k + 2]
+    assert pieces[1] is pieces[3] is pieces[5]
 
 
-def test_json_writer_walks_a_shared_node_once():
+def test_json_writer_makes_a_shared_rows_text_once():
     levels = 10  # 3**10 leaves, 11 distinct rows
     rows = table(("iso", 2), *(("split", x, x, x) for x in range(levels)))
     obj = tree(rows)
     for sort_keys, dumps_args in [(False, {"separators": (",", ":")}), (True, {"sort_keys": True})]:
         pieces = json_pieces(rows, sort_keys=sort_keys)
         assert "".join(pieces) == json.dumps(obj, **dumps_args)
-        # Seven pieces for the lowest split, six more for each one above it.
-        assert len(pieces) == 6 * levels + 1
+        # The root's skeleton around one string, the text of the row below.
+        assert len(pieces) == 7
+        assert pieces[1] is pieces[3] is pieces[5]
+
+
+def test_json_writer_matches_dumps_on_random_tables():
+    # Every prefix of a table is a table, so each split row is written as a
+    # root, and the ways a split's children can coincide are counted.
+    rng = random.Random(20151)
+    seen = Counter()
+    for _ in range(300):
+        rows = random_table(rng, rng.randint(1, 9))
+        for x, row in enumerate(rows):
+            prefix = rows[: x + 1]
+            assert_writer_matches_dumps(prefix)
+            if row[0] == "split":
+                _, _, i, j, k = row
+                seen["i = j only"] += i == j != k
+                seen["j = k only"] += j == k != i
+                seen["i = k only"] += i == k != j
+                seen["i = j = k"] += i == j == k
+        # The whole table is the last prefix written.
+        splits = [(x, row[2], row[3:]) for x, row in enumerate(rows) if row[0] == "split"]
+        seen["t_i of one row, a factor of another"] += any(
+            p != q and i in factors for p, i, _ in splits for q, _, factors in splits
+        )
+    cases = ["i = j only", "j = k only", "i = k only", "i = j = k",
+             "t_i of one row, a factor of another"]
+    assert all(seen[case] for case in cases), seen
 
 
 def test_json_writer_on_deep_chain_keeps_recursion_limit(monkeypatch):
