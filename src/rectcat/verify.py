@@ -2,30 +2,35 @@
 
 Each check compares an independent pair of routes over a bounded grid and
 reports the counterexamples it finds instead of raising, so a single run can
-show everything that is broken.  Every route-vs-oracle check is the one
-sweep check_vs_oracle, which run_verify feeds a stream of cases per route: a
-rectangle and the route call that must match the oracle there.  run_verify
-makes every oracle a run shares when it is called: one cache of the
-rectangle oracle for every route-vs-oracle check and both rule2 checks, and
-one of the diagram oracle for the split-contract and decomposition sweeps,
-so a run counts each rectangle and each diagram once; enumerate_paths, in
-the two sweeps, sizes each rectangle with the forward count of its own walk.
-All library calls go through the module objects, which keeps the checks
-honest under fault injection in tests.  The two sweeps meet a few hundred
-diagrams thousands of times, so for the length of one call each keeps what
-each diagram contributes: its corner cells and counterexamples, or its row
-in the one decomposition table the sweep builds.  A repeat visit adds that
-again, so cells and counterexamples read as if every visit had done the
-work.  An injected fault is cached like any answer and still shows, and
-nothing outlives the run.  A check formats its counterexample only when a
-cell fails; passing cells cost no string.
+show everything that is broken.  A cell is one comparison: the number got
+one way at some arguments against the number wanted another way.  Twelve
+checks are check_cells, which reads (args, got, want) cells from a generator
+that run_verify or run_identity_checks hands it, so each cell's work is done
+inside the check's own call, and formats a counterexample only for a cell
+that fails; passing cells cost no string.  Three keep their own loops: the
+split contract replays what each diagram adds at every visit, the
+decomposition sweep builds one table for all its diagrams and writes two
+kinds of counterexample, and special_r fails by raising its guard.
+
+run_verify makes every oracle a run shares when it is called: one cache of
+the rectangle oracle for every route-vs-oracle check, both rule2 checks and
+the decomposition sweep's staircases, and one of the diagram oracle for the
+split-contract and decomposition sweeps, so a run counts each rectangle and
+each diagram once; enumerate_paths, in the two sweeps, sizes each rectangle
+with the forward count of its own walk.  All library calls go through the
+module objects, which keeps the checks honest under fault injection in
+tests.  The two sweeps meet a few hundred diagrams thousands of times, so
+for the length of one call each keeps what each diagram contributes: its
+corner cells and counterexamples, or its row in the one decomposition table
+the sweep builds.  A repeat visit adds that again, so cells and
+counterexamples read as if every visit had done the work.  An injected fault
+is cached like any answer and still shows, and nothing outlives the run.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 
@@ -73,11 +78,11 @@ def first_route(a: int, b: int, names: Iterable[str]) -> str:
     raise ValueError(refusal.format(a=a, b=b, g=gcd(a, b)))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    cells: int = 0
-    failures: list[str] = field(default_factory=list)
+    """A check's name, the cells it compared and the counterexamples it found."""
+
+    def __init__(self, name: str):
+        self.name, self.cells, self.failures = name, 0, []
 
     def check(self, ok: bool, template: str, *args) -> None:
         """Count one cell; on failure record ``template.format(*args)``."""
@@ -90,17 +95,14 @@ class CheckResult:
         return not self.failures
 
 
-def check_vs_oracle(name: str, oracle, cases) -> CheckResult:
-    """One route against ``oracle(a, b)`` over ``(rectangle, call, route, args)`` cases.
+def check_cells(name: str, template: str, cells) -> CheckResult:
+    """A number check over ``(args, got, want)`` cells, formatting only the failures.
 
-    ``call`` is the route's label as a template with one field per argument,
-    such as ``"fuss({},{})"``.
+    A failing cell records ``template.format(*args, got, want)``.
     """
-    res = CheckResult(name)
-    for (a, b), call, route, args in cases:
-        want = oracle(a, b)
-        got = route(*args)
-        res.check(got == want, call + " = {}, oracle {}", *args, got, want)
+    res, cells = CheckResult(name), list(cells)
+    res.cells = len(cells)
+    res.failures = [template.format(*args, got, want) for args, got, want in cells if got != want]
     return res
 
 
@@ -121,20 +123,6 @@ def rule2_bridge(a: int, family: str, n: int, oracle) -> tuple[list, int, str, i
     narrow = wide - 1
     diff = oracle(a, wide) - oracle(a, narrow)
     return terms, total, f"count({a},{wide}) - count({a},{narrow})", diff
-
-
-def check_rule2(family: str, fam_k: int, fam_n: int, oracle) -> CheckResult:
-    # The upper family starts at n = 1: n = 0 is degenerate or of width zero.
-    res = CheckResult(f"rule2-{family}-telescopes")
-    for k in range(1, fam_k + 1):
-        a = 2 * k
-        for n in range(0 if family == "lower" else 1, fam_n + 1):
-            _, got, _, diff = rule2_bridge(a, family, n, oracle)
-            res.check(
-                got == diff,
-                "rule2({},{},{}) terms sum to {}, width step {}", a, family, n, got, diff,
-            )
-    return res
 
 
 def check_split_contract(max_a: int, max_b: int, count) -> CheckResult:
@@ -162,7 +150,7 @@ def check_split_contract(max_a: int, max_b: int, count) -> CheckResult:
     return res
 
 
-def check_decomposition(max_a: int, max_b: int, count) -> CheckResult:
+def check_decomposition(max_a: int, max_b: int, count, oracle) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
     # One table for the sweep: its diagrams share many rows, values and all.
     rows, at = [], {}
@@ -177,53 +165,11 @@ def check_decomposition(max_a: int, max_b: int, count) -> CheckResult:
                 res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
         for b in range(1, max_b + 1):
-            mu = diagrams.christoffel_diagram(a, b)
-            want, got = count(mu), value(mu)
+            want, got = oracle(a, b), value(diagrams.christoffel_diagram(a, b))
             res.check(
                 got == want,
                 "decompose of the {}x{} staircase values to {}, oracle {}", a, b, got, want,
             )
-    return res
-
-
-def check_q_rowsum(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("q-boxes-vs-row-sum")
-    for a in range(1, max_a + 1):
-        for b in range(1, max_b + 1):
-            want = sum(diagrams.christoffel_diagram(a, b))
-            got = christoffel.q_boxes(a, b)
-            res.check(got == want, "q_boxes({},{}) = {}, row sum {}", a, b, got, want)
-    return res
-
-
-def check_delta_telescope(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("delta-rows-vs-q-step")
-    for a in range(2, max_a + 1):
-        for b in range(a + 1, max_b + 1):
-            got = sum(christoffel.delta(a, b, l) for l in range(1, a))
-            want = christoffel.q_boxes(a, b) - christoffel.q_boxes(a, b - 1)
-            res.check(
-                got == want, "delta rows for ({},{}) sum to {}, q step {}", a, b, got, want
-            )
-    return res
-
-
-def check_delta_families(max_a: int, max_b: int) -> CheckResult:
-    res = CheckResult("delta-closed-forms")
-    top_k = min(8, max(1, max_a // 2))
-    for k in range(1, top_k + 1):
-        for n in range(0, 9):
-            families = (
-                (2 * k * (n + 1) - 1, "upper", christoffel.delta_closed_upper),
-                (2 * k * n + 2, "lower", christoffel.delta_closed_lower),
-            )
-            for l in range(1, 2 * k):
-                for b, label, form in families:
-                    got = christoffel.delta(2 * k, b, l)
-                    want = form(k, n, l)
-                    res.check(
-                        got == want, "delta(2*{},{},{}) = {}, {} form {}", k, b, l, got, label, want
-                    )
     return res
 
 
@@ -242,51 +188,71 @@ def check_special_r(max_a: int, max_b: int) -> CheckResult:
 def run_identity_checks(max_a: int, max_b: int) -> list[CheckResult]:
     """The staircase box-count and row-profile identity sweeps."""
     return [
-        check_q_rowsum(max_a, max_b),
-        check_delta_telescope(max_a, max_b),
-        check_delta_families(max_a, max_b),
+        check_cells("q-boxes-vs-row-sum", "q_boxes({},{}) = {}, row sum {}", (
+            ((a, b), christoffel.q_boxes(a, b), sum(diagrams.christoffel_diagram(a, b)))
+            for a in range(1, max_a + 1) for b in range(1, max_b + 1)
+        )),
+        check_cells("delta-rows-vs-q-step", "delta rows for ({},{}) sum to {}, q step {}", (
+            ((a, b), sum(christoffel.delta(a, b, l) for l in range(1, a)),
+             christoffel.q_boxes(a, b) - christoffel.q_boxes(a, b - 1))
+            for a in range(2, max_a + 1) for b in range(a + 1, max_b + 1)
+        )),
+        check_cells("delta-closed-forms", "delta(2*{0},{1},{2}) = {4}, {3} form {5}", (
+            ((k, b, l, family), christoffel.delta(2 * k, b, l), form(k, n, l))
+            for k in range(1, min(8, max(1, max_a // 2)) + 1) for n in range(9)
+            for l in range(1, 2 * k) for b, family, form in (
+                (2 * k * (n + 1) - 1, "upper", christoffel.delta_closed_upper),
+                (2 * k * n + 2, "lower", christoffel.delta_closed_lower),
+            )
+        )),
         check_special_r(max_a, max_b),
     ]
 
 
 def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResult]:
     """Every sweep: formulas, theorems, splitting, decomposition, identities."""
-    rows, cols = range(1, max_a + 1), range(1, max_b + 1)
+    rows, cols, ks = range(1, max_a + 1), range(1, max_b + 1), range(1, fam_k + 1)
     # One oracle of each kind for the run: the route-vs-oracle checks share
     # most rectangles, and the two diagram sweeps most diagrams.
     oracle, count = cache(diagrams.count_rect), cache(diagrams.count_paths)
+    vs, rule2 = " = {}, oracle {}", "rule2({},{},{}) terms sum to {}, width step {}"
     return [
-        check_vs_oracle("coprime-formula-vs-oracle", oracle, (
-            ((a, b), "coprime({},{})", formulas.coprime_catalan, (a, b))
+        check_cells("coprime-formula-vs-oracle", "coprime({},{})" + vs, (
+            ((a, b), formulas.coprime_catalan(a, b), oracle(a, b))
             for a in rows for b in cols if ROUTES["coprime"].applies(a, b)
         )),
-        check_vs_oracle("fuss-formula-vs-oracle", oracle, (
-            ((a, b), "fuss({},{})", formulas.fuss_catalan, (a, b // a))
+        check_cells("fuss-formula-vs-oracle", "fuss({},{})" + vs, (
+            ((a, b // a), formulas.fuss_catalan(a, b // a), oracle(a, b))
             for a in rows for b in cols if ROUTES["fuss"].applies(a, b)
         )),
-        check_vs_oracle("prime-dispatch-vs-oracle", oracle, (
-            ((p, b), "prime_rect({},{})", formulas.prime_rect, (p, b))
+        check_cells("prime-dispatch-vs-oracle", "prime_rect({},{})" + vs, (
+            ((p, b), formulas.prime_rect(p, b), oracle(p, b))
             for p in rows if formulas._is_prime(p) for b in cols
         )),
-        check_vs_oracle("bizley-vs-oracle", oracle, (
-            ((a, b), "bizley({},{})", bizley.bizley_count, (a, b)) for a in rows for b in cols
+        check_cells("bizley-vs-oracle", "bizley({},{})" + vs, (
+            ((a, b), bizley.bizley_count(a, b), oracle(a, b)) for a in rows for b in cols
         )),
-        check_vs_oracle("catalan-on-squares", oracle, (
-            ((n, n), "catalan({})", formulas.catalan, (n,))
-            for n in range(1, min(max_a, max_b, 10) + 1)
+        check_cells("catalan-on-squares", "catalan({})" + vs, (
+            ((n,), formulas.catalan(n), oracle(n, n)) for n in range(1, min(max_a, max_b, 10) + 1)
         )),
-        check_vs_oracle("theorem1-vs-oracle", oracle, (
-            ((2 * k, 2 * k * (n + 1) - 2), "theorem1({},{})", comparison.theorem1_count, (k, n))
-            for k in range(1, fam_k + 1) for n in range(0, fam_n + 1)
-            if 2 * k * (n + 1) - 2 >= 1
+        check_cells("theorem1-vs-oracle", "theorem1({},{})" + vs, (
+            ((k, n), comparison.theorem1_count(k, n), oracle(2 * k, 2 * k * (n + 1) - 2))
+            for k in ks for n in range(0, fam_n + 1) if 2 * k * (n + 1) - 2 >= 1
         )),
-        check_vs_oracle("theorem2-vs-oracle", oracle, (
-            ((2 * k, 2 * k * n + 2), "theorem2({},{})", comparison.theorem2_count, (k, n))
-            for k in range(1, fam_k + 1) for n in range(1, fam_n + 1)
+        check_cells("theorem2-vs-oracle", "theorem2({},{})" + vs, (
+            ((k, n), comparison.theorem2_count(k, n), oracle(2 * k, 2 * k * n + 2))
+            for k in ks for n in range(1, fam_n + 1)
         )),
-        check_rule2("upper", fam_k, fam_n, oracle),
-        check_rule2("lower", fam_k, fam_n, oracle),
+        # The upper family starts at n = 1: n = 0 is degenerate or of width zero.
+        check_cells("rule2-upper-telescopes", rule2, (
+            ((2 * k, "upper", n), *rule2_bridge(2 * k, "upper", n, oracle)[1::2])
+            for k in ks for n in range(1, fam_n + 1)
+        )),
+        check_cells("rule2-lower-telescopes", rule2, (
+            ((2 * k, "lower", n), *rule2_bridge(2 * k, "lower", n, oracle)[1::2])
+            for k in ks for n in range(0, fam_n + 1)
+        )),
         check_split_contract(max_a, max_b, count),
-        check_decomposition(max_a, max_b, count),
+        check_decomposition(max_a, max_b, count, oracle),
         *run_identity_checks(max_a, max_b),
     ]

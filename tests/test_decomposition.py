@@ -299,10 +299,10 @@ def test_christoffel_tables_evaluate_with_own_catalan():
 
 
 def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
-    clean = verify.check_decomposition(3, 4, cache(count_paths))
+    clean = verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect))
     assert clean.passed
     monkeypatch.setattr(decomposition_mod, "catalan", lambda n: catalan(n) + 1)
-    faulty = verify.check_decomposition(3, 4, cache(count_paths))
+    faulty = verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect))
     assert faulty.cells == clean.cells
     # Every nonempty diagram has an iso row, so only the empty one still passes.
     empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
@@ -345,8 +345,8 @@ def test_decomposition_sweep_memo_lives_for_one_call(monkeypatch):
         return _build(mu, rows, at)
 
     monkeypatch.setattr(decomposition_mod, "_build", spy)
-    assert verify.check_decomposition(3, 4, cache(count_paths)).passed
-    assert verify.check_decomposition(3, 4, cache(count_paths)).passed
+    assert verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect)).passed
+    assert verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect)).passed
     assert len(tables) == 2
 
 

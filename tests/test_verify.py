@@ -1,11 +1,15 @@
 """The verify sweeps do each distinct piece of work once per call, and say the same."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from functools import cache
 
 import pytest
 
 from oracles import decomposition_by_visits, split_contract_by_visits
-from rectcat import comparison, decomposition, diagrams, verify
+from rectcat import bizley, christoffel, comparison, decomposition, diagrams, formulas, verify
 from rectcat.diagrams import as_diagram
 
 ROUTE_CHECKS = [
@@ -52,13 +56,13 @@ FAULTS = {
 @pytest.mark.parametrize("bounds", [(1, 1), (3, 4), (6, 8), (8, 10), (12, 16)])
 def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
     FAULTS[fault](monkeypatch)
-    # One diagram oracle for both sweeps, made after the fault, as run_verify makes it.
-    count, failures = cache(diagrams.count_paths), []
-    for memo, visits in (
-        (verify.check_split_contract, split_contract_by_visits),
-        (verify.check_decomposition, decomposition_by_visits),
+    # One diagram oracle for both sweeps and one rectangle oracle, made after
+    # the fault, as run_verify makes them.
+    count, oracle, failures = cache(diagrams.count_paths), cache(diagrams.count_rect), []
+    for got, want in (
+        (verify.check_split_contract(*bounds, count), split_contract_by_visits(*bounds)),
+        (verify.check_decomposition(*bounds, count, oracle), decomposition_by_visits(*bounds)),
     ):
-        got, want = memo(*bounds, count), visits(*bounds)
         assert (got.name, got.cells) == (want.name, want.cells)
         assert got.failures == want.failures
         failures += got.failures
@@ -99,7 +103,8 @@ def test_route_checks_share_one_oracle(monkeypatch):
 def test_diagram_sweeps_share_one_oracle(monkeypatch):
     # The split-contract and decomposition sweeps take the run's one cache of
     # count_paths, so the run asks it once per distinct diagram; the calls
-    # count_rect makes for the rectangle oracle are not the sweeps'.
+    # count_rect makes for the rectangle oracle are not the sweeps', and the
+    # staircases are counted by that oracle, which has met them all already.
     count_paths, count_rect, asked = diagrams.count_paths, diagrams.count_rect, []
     in_rect = []
 
@@ -119,5 +124,119 @@ def test_diagram_sweeps_share_one_oracle(monkeypatch):
     monkeypatch.setattr(diagrams, "count_paths", spy)
     checks = verify.run_verify(8, 10, 4, 3)
     assert all(c.passed for c in checks)
-    assert len(set(asked)) == 240
-    assert len(asked) == 240
+    assert len(set(asked)) == 227
+    assert len(asked) == 227
+
+
+def _plus_one(module, name):
+    original = getattr(module, name)
+    return lambda *args: original(*args) + 1
+
+
+def _flipped(module, name):
+    original = getattr(module, name)
+    return lambda *args: 1 - original(*args)
+
+
+# One fault per number check, with the cells, failure count and first and last
+# counterexample of that check: (check, module, function, fault, sweep bounds).
+PINNED_FAULTS = [
+    ("coprime-formula-vs-oracle", formulas, "coprime_catalan", _plus_one, (8, 10, 4, 3),
+     52, 52, "coprime(1,1) = 2, oracle 1", "coprime(8,9) = 1431, oracle 1430"),
+    ("prime-dispatch-vs-oracle", formulas, "prime_rect", _plus_one, (8, 10, 4, 3),
+     40, 40, "prime_rect(2,1) = 2, oracle 1", "prime_rect(7,10) = 1145, oracle 1144"),
+    ("theorem1-vs-oracle", comparison, "theorem1_count", _plus_one, (8, 10, 4, 3),
+     15, 15, "theorem1(1,1) = 3, oracle 2", "theorem1(4,3) = 1307743, oracle 1307742"),
+    ("theorem2-vs-oracle", comparison, "theorem2_count", _plus_one, (8, 10, 4, 3),
+     12, 12, "theorem2(1,1) = 4, oracle 3", "theorem2(4,3) = 543807, oracle 543806"),
+    ("rule2-upper-telescopes", comparison, "rule2_terms", lambda m, n: lambda *args: [],
+     (8, 10, 4, 3), 12, 9, "rule2(4,upper,1) terms sum to 0, width step 7",
+     "rule2(8,upper,3) terms sum to 0, width step 269790"),
+    ("q-boxes-vs-row-sum", christoffel, "q_boxes", _plus_one, (8, 10, 4, 3),
+     80, 80, "q_boxes(1,1) = 1, row sum 0", "q_boxes(8,10) = 33, row sum 32"),
+    ("delta-rows-vs-q-step", christoffel, "delta", _plus_one, (30, 60),
+     1276, 1276, "delta rows for (2,3) sum to 1, q step 0",
+     "delta rows for (30,60) sum to 58, q step 29"),
+    ("delta-closed-forms", christoffel, "delta_closed_lower", _flipped, (8, 10, 4, 3),
+     288, 144, "delta(2*1,2,1) = 1, lower form 0", "delta(2*4,66,7) = 1, lower form 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name, fault, bounds, cells, failed, first, last",
+    PINNED_FAULTS, ids=[case[0] for case in PINNED_FAULTS],
+)
+def test_number_check_counterexamples_are_pinned(
+    monkeypatch, check, module, name, fault, bounds, cells, failed, first, last
+):
+    monkeypatch.setattr(module, name, fault(module, name))
+    run = verify.run_verify if len(bounds) == 4 else verify.run_identity_checks
+    (res,) = [c for c in run(*bounds) if c.name == check]
+    assert (res.cells, len(res.failures)) == (cells, failed)
+    assert (res.failures[0], res.failures[-1]) == (first, last)
+
+
+# The library work the number checks do, through the module objects.
+CHECKED_WORK = {
+    christoffel: ["q_boxes", "delta"],
+    diagrams: ["count_rect", "christoffel_diagram"],
+    bizley: ["bizley_count"],
+    formulas: ["coprime_catalan", "fuss_catalan", "prime_rect", "catalan"],
+    comparison: ["theorem1_count", "theorem2_count", "rule2_terms"],
+}
+
+
+def test_each_check_is_one_outermost_call_that_does_its_own_work(monkeypatch):
+    # A profiler that wraps every verify.check_* and names each span after the
+    # result it returns sees one span per check, none inside another, and every
+    # piece of a check's library work inside that check's span.
+    returned, nested, called, outside, open_checks = [], [], Counter(), Counter(), []
+
+    def span(fn):
+        def wrapper(*args):
+            if open_checks:
+                nested.append((open_checks[-1], fn.__name__))
+            open_checks.append(fn.__name__)
+            try:
+                returned.append(fn(*args))
+            finally:
+                open_checks.pop()
+            return returned[-1]
+        return wrapper
+
+    def counted(label, fn):
+        def wrapper(*args):
+            called[label] += 1
+            outside[label] += not open_checks
+            return fn(*args)
+        return wrapper
+
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        monkeypatch.setattr(verify, name, span(getattr(verify, name)))
+    for module, names in CHECKED_WORK.items():
+        for name in names:
+            label = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
+
+    checks = verify.run_verify(8, 10, 4, 3)
+    assert len(checks) == len(returned) == 15
+    assert all(got is made for got, made in zip(checks, returned))
+    assert nested == []
+    assert sorted(called) == sorted(f"{m.__name__}.{n}" for m, ns in CHECKED_WORK.items() for n in ns)
+    assert +outside == Counter()
+
+    returned.clear()
+    identities = verify.run_identity_checks(8, 10)
+    assert len(identities) == len(returned) == 4
+    assert all(got is made for got, made in zip(identities, returned))
+    assert nested == [] and +outside == Counter()
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # CheckResult is a plain class: a CLI run does not import dataclasses.
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    code = "import sys, rectcat.cli; sys.exit('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode == 0
