@@ -278,12 +278,12 @@ def _cmd_formula(args):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared afterwards.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subparser for each command by name.
 
-    Parsing leaves the parser as it was, so every main call in a process
-    can use the one tree; it is built lazily so that importing this module
-    stays cheap.
+    Built on the first call and shared afterwards: parsing leaves the parsers
+    as they were, so every main call in a process can use the one tree; it is
+    built lazily so that importing this module stays cheap.
     """
     parser = argparse.ArgumentParser(
         prog="rectcat",
@@ -297,8 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rect.add_argument("a", type=int)
     rect.add_argument("b", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("count", parents=[rect], help="count the paths of a rectangle")
+    def command(name, handler, **kwargs):
+        p = commands[name] = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("count", _cmd_count, parents=[rect], help="count the paths of a rectangle")
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument(
         "--check-bound",
@@ -309,35 +315,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache", metavar="FILE", help="append a,b,method,count,micros to this CSV"
     )
-    p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser(
+    command(
         "christoffel",
+        _cmd_christoffel,
         parents=[rect],
         help="maximal staircase rows, box count, and growth profile",
     )
-    p.set_defaults(handler=_cmd_christoffel)
 
-    p = sub.add_parser(
-        "decompose", parents=[common], help="isosceles expression of a staircase"
+    p = command(
+        "decompose", _cmd_decompose, parents=[common], help="isosceles expression of a staircase"
     )
     p.add_argument("a", type=int, nargs="?")
     p.add_argument("b", type=int, nargs="?")
     p.add_argument("--diagram", help='explicit rows, e.g. "4,3,1"')
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser(
-        "enumerate", parents=[rect], help="list every path word with its diagram"
+    p = command(
+        "enumerate", _cmd_enumerate, parents=[rect], help="list every path word with its diagram"
     )
     p.add_argument(
         "--limit",
         type=int,
         help="refuse when the count exceeds this (default 10**6, or RECTCAT_MAX_ENUM)",
     )
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[common], help="run every cross-method sweep")
+    p = command("verify", _cmd_verify, parents=[common], help="run every cross-method sweep")
     p.add_argument("--max-a", type=int, default=8)
     p.add_argument("--max-b", type=int, default=10)
     p.add_argument(
@@ -347,32 +350,49 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("K", "N"),
         help="theorem family ranges k <= K, n <= N (default: derived from --max-a)",
     )
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser(
+    p = command(
         "identities",
+        _cmd_identities,
         parents=[common],
         help="box-count and row-profile identity sweeps",
     )
     p.add_argument("--max-a", type=int, default=16)
     p.add_argument("--max-b", type=int, default=40)
-    p.set_defaults(handler=_cmd_identities)
 
-    p = sub.add_parser(
+    command(
         "expand",
+        _cmd_expand,
         parents=[rect],
         help="telescoping term list of a family rectangle, with counts",
     )
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser(
-        "formula", parents=[common], help="evaluate one closed-form expression"
+    p = command(
+        "formula", _cmd_formula, parents=[common], help="evaluate one closed-form expression"
     )
     p.add_argument("name", choices=sorted(FORMULAS))
     p.add_argument("values", type=int, nargs="+")
-    p.set_defaults(handler=_cmd_formula)
 
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv: list[str] | None):
+    """The whole parser's parse_args(argv), in one argparse pass.
+
+    The top-level parser would hand everything after a command's name to that
+    command's subparser, so those arguments go there directly; any other argv
+    (none, --help, an unknown command, an option first) takes the whole parser.
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _print_report(report) -> None:
@@ -398,7 +418,7 @@ def _print_report(report) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         lines, results, failures = args.handler(args)
     except (ValueError, OSError, OverflowError) as err:

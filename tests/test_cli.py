@@ -962,10 +962,14 @@ def test_formula_errors(capsys):
     )
 
 
-def test_unknown_arguments_exit_2():
+def test_unknown_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "6", "9", "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("rectcat: error: unrecognized arguments: --bogus\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "x", "y"])
     assert exc.value.code == 2
@@ -1019,6 +1023,8 @@ REUSE_SEQUENCE = [
         ]
         for flag in ([], ["--json"])
     ),
+    ["count", "6", "9", "--bogus"],
+    ["count", "6", "9", "--js"],
     [],
     ["count", "x", "y"],
     ["formula", "no-such-formula", "1"],
@@ -1062,6 +1068,114 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     codes = [code for _, code, _, _ in reused]
     assert set(codes) == {0, 2}
     assert codes[-8:] == [2, 0, 0, 2, 2, 0, 0, 0]
+
+
+# Argument lists at the edges of what a command's subparser sees: abbreviations,
+# "--", negative numbers, help and errors inside and outside a command.
+EDGE_ARGVS = [
+    ["count", "3", "4", "--he"],
+    ["count", "--he"],
+    ["count", "3", "4", "--js"],
+    ["count", "--", "3", "4"],
+    ["count", "-1", "5"],
+    ["count", "3", "4", "--bogus", "x"],
+    ["count", "3", "4", "-h"],
+    ["count", "3", "4", "--", "--json"],
+    ["count", "3", "4", "--json=1"],
+    ["count", "3", "4", "--meth=bizley"],
+    ["count", "3", "4", "--method"],
+    ["count", "3"],
+    ["count", "3", "4", "5"],
+    ["count"],
+    ["--json", "count", "3", "4"],
+    ["-h", "count"],
+    ["nope"],
+    [],
+    ["verify", "--families", "1"],
+    ["decompose", "--diagram", "4,3,1", "extra"],
+    ["formula", "catalan"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        parsed, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return parsed, code, captured.out, captured.err
+
+
+def test_one_pass_parse_matches_the_whole_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli._build_parser()
+    corpus = [step for step in REUSE_SEQUENCE if isinstance(step, list)] + EDGE_ARGVS
+    outcomes = []
+    for argv in corpus:
+        outcome = parse_outcome(capsys, cli._parse_args, argv)
+        assert outcome == parse_outcome(capsys, parser.parse_args, argv), argv
+        outcomes.append(outcome)
+    assert {code for _, code, _, _ in outcomes} == {None, 0, 2}
+
+
+def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch):
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def play(argv):
+        passes.clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().err.splitlines()[-1:]
+
+    _, commands = cli._build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in REUSE_SEQUENCE + EDGE_ARGVS:
+        if isinstance(argv, list) and argv[:1] and argv[0] in commands:
+            play(argv)
+            assert passes == [f"rectcat {argv[0]}"], argv
+    # Anything else goes through the whole parser, as it always did.
+    assert play([]) == (2, ["rectcat: error: the following arguments are required: command"])
+    assert passes == ["rectcat"]
+    assert play(["--help"]) == (0, [])
+    assert passes == ["rectcat"]
+    code, err = play(["nope"])
+    assert (code, passes) == (2, ["rectcat"])
+    assert err[0].startswith("rectcat: error: argument command: invalid choice: ")
+    assert play(["--json", "count", "3", "4"]) == (
+        2, ["rectcat: error: unrecognized arguments: --json"]
+    )
+    assert passes == ["rectcat", "rectcat count"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built on the first main call, so an import, and the set-up
+    # time a benchmark measures with it, never pays for it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(kwargs.get('prog'))",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import rectcat.cli",
+        "imported = len(built)",
+        "rectcat.cli.main(['formula', 'catalan', '3'])",
+        "print(imported, 'rectcat' in built)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n0 True\n", "")
 
 
 @pytest.mark.parametrize("argv, read_lines", [
