@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .formulas import _exact_div, binomial
 
@@ -62,8 +63,9 @@ def bizley_count(m: int, n: int) -> int:
         k(a+b) f_k = sum_{j=1..k} w_j f_{k-j},    f_0 = 1,
 
     so f_d costs O(d^2) integer operations.  ``phi`` is looked up on this
-    module for each j <= d; a weight or quotient that is not an integer raises
-    ArithmeticError.
+    module for each j <= d, and w_j is taken from its numerator and
+    denominator without Fraction arithmetic; a weight or quotient that is not
+    an integer raises ArithmeticError.
     """
     if m < 1 or n < 1:
         raise ValueError(f"sides must be positive, got {m}x{n}")
@@ -71,10 +73,11 @@ def bizley_count(m: int, n: int) -> int:
     a, b = m // d, n // d
     w = [0]
     for j in range(1, d + 1):
-        wj = j * (a + b) * phi(a, b, j)
-        w.append(_exact_div(wj.numerator, wj.denominator, "bizley weight w_{} for {}x{}", j, m, n))
+        p = phi(a, b, j)
+        w.append(_exact_div(j * (a + b) * p.numerator, p.denominator,
+                            "bizley weight w_{} for {}x{}", j, m, n))
     f = [1]
     for k in range(1, d + 1):
-        total = sum(w[j] * f[k - j] for j in range(1, k + 1))
+        total = sum(map(mul, w[1 : k + 1], reversed(f)))
         f.append(_exact_div(total, k * (a + b), "bizley recurrence for {}x{} at k = {}", m, n, k))
     return f[d]

@@ -203,7 +203,13 @@ def _fillings(rows):
 
 
 def count_rect(a: int, b: int) -> int:
-    """Number of (a,b)-Dyck paths: count_paths over the maximal staircase."""
+    """Number of (a,b)-Dyck paths: count_paths over the maximal staircase.
+
+    count(a, b) = count(b, a), so the staircase counted is the one with fewer
+    rows: a thin shape is one long row, summed without being built.
+    """
+    if a > b > 0:
+        a, b = b, a
     return count_paths(christoffel_diagram(a, b))
 
 

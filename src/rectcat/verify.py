@@ -16,15 +16,18 @@ run_verify makes every oracle a run shares when it is called: one cache of
 the rectangle oracle for every route-vs-oracle check, both rule2 checks and
 the decomposition sweep's staircases, and one of the diagram oracle for the
 split-contract and decomposition sweeps, so a run counts each rectangle and
-each diagram once; enumerate_paths, in the two sweeps, sizes each rectangle
-with the forward count of its own walk.  All library calls go through the
-module objects, which keeps the checks honest under fault injection in
-tests.  The two sweeps meet a few hundred diagrams thousands of times, so
-for the length of one call each keeps what each diagram contributes: its
-corner cells and counterexamples, or its row in the one decomposition table
-the sweep builds.  A repeat visit adds that again, so cells and
-counterexamples read as if every visit had done the work.  An injected fault
-is cached like any answer and still shows, and nothing outlives the run.
+each diagram once.  The two sweeps also share the per-height lists of
+diagram_lists: each height is enumerated once, at the widest width either
+sweep asks for, and each rectangle's list is that list filtered;
+enumerate_paths sizes its walk with its own forward count.  All library
+calls go through the module objects, which keeps the checks honest under
+fault injection in tests.  The two sweeps meet a few hundred diagrams
+thousands of times, so for the length of one call each keeps what each
+diagram contributes: its corner cells and counterexamples, or its row in the
+one decomposition table the sweep builds.  A repeat visit adds that again,
+so cells and counterexamples read as if every visit had done the work.  An
+injected fault is cached like any answer and still shows, and nothing
+outlives the run.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache
 from math import gcd
+from operator import getitem
 
 from . import bizley, christoffel, comparison, decomposition, diagrams, formulas
 
@@ -125,32 +129,58 @@ def rule2_bridge(a: int, family: str, n: int, oracle) -> tuple[list, int, str, i
     return terms, total, f"count({a},{wide}) - count({a},{narrow})", diff
 
 
-def check_split_contract(max_a: int, max_b: int, count) -> CheckResult:
+def diagram_lists(width: int):
+    """``paths(a, b)``, b <= width: the diagrams of enumerate_paths(a, b), in its order.
+
+    Each height is enumerated once, at ``width``, when first asked for: its
+    paths come in the order of their down-step positions, whatever the width,
+    and a diagram nu fits the a x b staircase exactly when
+    b >= ceil(a*nu_r/(a-r)) for every row r, so each list is the height's,
+    filtered.  A b past ``width`` raises ValueError, so lists too narrow for
+    a sweep cannot shrink it.
+    """
+    @cache
+    def widths(a):  # each diagram with the least width it fits
+        least = [[-(-a * v // (a - r)) for v in range(width + 1)] for r in range(1, a)]
+        return [
+            (max(map(getitem, least, mu)) if mu else 0, mu)
+            for _, mu in diagrams.enumerate_paths(a, width)
+        ]
+
+    @cache
+    def paths(a, b):
+        if b > width:
+            raise ValueError(f"width {b} exceeds the lists' width {width}")
+        return [mu for least, mu in widths(a) if least <= b]
+
+    return paths
+
+
+def check_split_contract(max_a: int, max_b: int, count, paths) -> CheckResult:
     res = CheckResult("split-contract-exhaustive")
 
     @cache
-    def corners(mu) -> CheckResult:  # the cells and failures mu adds at every visit
-        part = CheckResult(res.name)
-        want = count(mu)
-        for r in range(1, len(mu) + 1):
-            beyond = mu[r] if r < len(mu) else 0
-            if mu[r - 1] <= beyond:
-                continue
-            slim, upper, lower = comparison.through_box_split(mu, r)
-            got = count(slim) + count(upper) * count(lower)
-            part.check(got == want, "split of {} at row {}: {}, oracle {}", mu, r, got, want)
-        return part
+    def corners(mu) -> tuple[int, list]:  # the cells and failures mu adds at every visit
+        want, cells, failures = count(mu), 0, []
+        for r, (row, beyond) in enumerate(zip(mu, (*mu[1:], 0)), 1):
+            if row > beyond:
+                slim, upper, lower = comparison.through_box_split(mu, r)
+                got = count(slim) + count(upper) * count(lower)
+                cells += 1
+                if got != want:
+                    failures.append(f"split of {mu} at row {r}: {got}, oracle {want}")
+        return cells, failures
 
     for a in range(1, min(max_a, 6) + 1):
         for b in range(1, min(max_b, 8) + 1):
-            for _, mu in diagrams.enumerate_paths(a, b):
-                part = corners(mu)
-                res.cells += part.cells
-                res.failures += part.failures
+            for mu in paths(a, b):
+                cells, failures = corners(mu)
+                res.cells += cells
+                res.failures += failures
     return res
 
 
-def check_decomposition(max_a: int, max_b: int, count, oracle) -> CheckResult:
+def check_decomposition(max_a: int, max_b: int, count, oracle, paths) -> CheckResult:
     res = CheckResult("decomposition-vs-oracle")
     # One table for the sweep: its diagrams share many rows, values and all.
     rows, at = [], {}
@@ -160,7 +190,7 @@ def check_decomposition(max_a: int, max_b: int, count, oracle) -> CheckResult:
 
     for a in range(1, min(max_a, 5) + 1):
         for b in range(1, min(max_b, 7) + 1):
-            for _, mu in diagrams.enumerate_paths(a, b):
+            for mu in paths(a, b):
                 want, got = count(mu), value(mu)
                 res.check(got == want, "decompose({}) values to {}, oracle {}", mu, got, want)
     for a in range(1, max_a + 1):
@@ -213,8 +243,10 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
     """Every sweep: formulas, theorems, splitting, decomposition, identities."""
     rows, cols, ks = range(1, max_a + 1), range(1, max_b + 1), range(1, fam_k + 1)
     # One oracle of each kind for the run: the route-vs-oracle checks share
-    # most rectangles, and the two diagram sweeps most diagrams.
+    # most rectangles, and the two diagram sweeps most diagrams, which they
+    # take from one list a height, enumerated at the split sweep's widest width.
     oracle, count = cache(diagrams.count_rect), cache(diagrams.count_paths)
+    paths = diagram_lists(min(max_b, 8))
     vs, rule2 = " = {}, oracle {}", "rule2({},{},{}) terms sum to {}, width step {}"
     return [
         check_cells("coprime-formula-vs-oracle", "coprime({},{})" + vs, (
@@ -252,7 +284,7 @@ def run_verify(max_a: int, max_b: int, fam_k: int, fam_n: int) -> list[CheckResu
             ((2 * k, "lower", n), *rule2_bridge(2 * k, "lower", n, oracle)[1::2])
             for k in ks for n in range(0, fam_n + 1)
         )),
-        check_split_contract(max_a, max_b, count),
-        check_decomposition(max_a, max_b, count, oracle),
+        check_split_contract(max_a, max_b, count, paths),
+        check_decomposition(max_a, max_b, count, oracle, paths),
         *run_identity_checks(max_a, max_b),
     ]

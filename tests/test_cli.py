@@ -647,6 +647,22 @@ def test_enumerate_refuses_a_huge_count_in_400_mib_at_once():
     assert elapsed < 1
 
 
+def test_the_oracle_counts_a_tall_rectangle_as_its_one_row_transpose(capsys):
+    # The oracle counts the orientation with fewer rows, which holds because
+    # the staircase row count gives the same number both ways: checked here
+    # on both staircases, since count_rect itself now only builds one.
+    for a in range(1, 40):
+        for b in range(a + 1, 40):
+            wide = diagrams.count_paths(diagrams.christoffel_diagram(a, b))
+            assert diagrams.count_paths(diagrams.christoffel_diagram(b, a)) == wide, (a, b)
+    # 10**8 x 2 is the one row of 2 x 10**8, summed without being built, so
+    # it answers within a second under 400 MiB.
+    proc, elapsed = run_limited("count", "100000000", "2", "--method", "oracle")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (0, proc.stdout, "") == run(capsys, "count", "2", "100000000", "--method", "oracle")
+    assert elapsed < 1
+
+
 # For each cap: a value small enough to test, an argv of exactly that size,
 # which answers, and an argv past it with its size.
 CAP_CASES = {

@@ -77,7 +77,7 @@ def test_split_contract_random_diagrams(rows):
 
 
 def test_split_contract_sweep_memo_keeps_faults_visible(monkeypatch):
-    clean = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    clean = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert clean.passed
     oracle, asked = diagrams.count_paths, []
 
@@ -86,7 +86,7 @@ def test_split_contract_sweep_memo_keeps_faults_visible(monkeypatch):
         return oracle(mu) + (len(as_diagram(mu)) >= 2)
 
     monkeypatch.setattr(diagrams, "count_paths", one_too_many)
-    faulty = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    faulty = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert faulty.cells == clean.cells
     assert faulty.failures
     # The sweep asks the oracle about each distinct diagram once, and
@@ -94,13 +94,13 @@ def test_split_contract_sweep_memo_keeps_faults_visible(monkeypatch):
     assert len(asked) == len(set(asked))
     monkeypatch.undo()
     # Nothing cached under the fault outlives the call that cached it.
-    again = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    again = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert again.passed
     assert again.cells == clean.cells
 
 
 def test_split_contract_sweep_split_cache_keeps_faults_visible(monkeypatch):
-    clean = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    clean = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert clean.passed
     split, asked = comparison.through_box_split, []
 
@@ -110,7 +110,7 @@ def test_split_contract_sweep_split_cache_keeps_faults_visible(monkeypatch):
         return slimmed, upper, ()
 
     monkeypatch.setattr(comparison, "through_box_split", drop_lower)
-    faulty = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    faulty = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert faulty.cells == clean.cells
     # Counterexample text, byte for byte.
     assert len(faulty.failures) == 1296
@@ -120,7 +120,7 @@ def test_split_contract_sweep_split_cache_keeps_faults_visible(monkeypatch):
     assert len(asked) == len(set(asked)) < clean.cells
     monkeypatch.undo()
     # Nothing cached under the fault outlives the call that cached it.
-    again = verify.check_split_contract(6, 8, cache(diagrams.count_paths))
+    again = verify.check_split_contract(6, 8, cache(diagrams.count_paths), verify.diagram_lists(8))
     assert again.passed
     assert again.cells == clean.cells
 

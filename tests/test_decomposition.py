@@ -298,11 +298,16 @@ def test_christoffel_tables_evaluate_with_own_catalan():
     assert checked == 5551
 
 
+def sweep():
+    """verify.check_decomposition at 3x4, with its own oracles and lists, as run_verify makes them."""
+    return verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect), verify.diagram_lists(4))
+
+
 def test_decomposition_sweep_memo_keeps_faults_visible(monkeypatch):
-    clean = verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect))
+    clean = sweep()
     assert clean.passed
     monkeypatch.setattr(decomposition_mod, "catalan", lambda n: catalan(n) + 1)
-    faulty = verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect))
+    faulty = sweep()
     assert faulty.cells == clean.cells
     # Every nonempty diagram has an iso row, so only the empty one still passes.
     empty = sum(mu == () for a in range(1, 4) for b in range(1, 5) for _, mu in enumerate_paths(a, b))
@@ -345,8 +350,8 @@ def test_decomposition_sweep_memo_lives_for_one_call(monkeypatch):
         return _build(mu, rows, at)
 
     monkeypatch.setattr(decomposition_mod, "_build", spy)
-    assert verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect)).passed
-    assert verify.check_decomposition(3, 4, cache(count_paths), cache(count_rect)).passed
+    assert sweep().passed
+    assert sweep().passed
     assert len(tables) == 2
 
 

@@ -59,9 +59,10 @@ def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
     # One diagram oracle for both sweeps and one rectangle oracle, made after
     # the fault, as run_verify makes them.
     count, oracle, failures = cache(diagrams.count_paths), cache(diagrams.count_rect), []
+    paths = verify.diagram_lists(min(bounds[1], 8))
     for got, want in (
-        (verify.check_split_contract(*bounds, count), split_contract_by_visits(*bounds)),
-        (verify.check_decomposition(*bounds, count, oracle), decomposition_by_visits(*bounds)),
+        (verify.check_split_contract(*bounds, count, paths), split_contract_by_visits(*bounds)),
+        (verify.check_decomposition(*bounds, count, oracle, paths), decomposition_by_visits(*bounds)),
     ):
         assert (got.name, got.cells) == (want.name, want.cells)
         assert got.failures == want.failures
@@ -126,6 +127,54 @@ def test_diagram_sweeps_share_one_oracle(monkeypatch):
     assert all(c.passed for c in checks)
     assert len(set(asked)) == 227
     assert len(asked) == 227
+
+
+def _calls(monkeypatch, module, name):
+    """Count the calls made to ``module.name`` from here on."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_diagram_sweeps_enumerate_each_height_once(monkeypatch):
+    # Both sweeps read the run's one list a height, enumerated at the split
+    # sweep's widest width: heights 1 to 6, not one call per rectangle (83).
+    calls = _calls(monkeypatch, diagrams, "enumerate_paths")
+    checks = verify.run_verify(8, 10, 4, 3)
+    assert all(c.passed for c in checks)
+    assert calls == [(a, 8) for a in range(1, 7)]
+
+
+def test_each_heights_list_is_its_enumeration_filtered(monkeypatch):
+    paths = verify.diagram_lists(12)
+    for a in range(1, 9):
+        for b in range(1, 13):
+            assert paths(a, b) == [mu for _, mu in diagrams.enumerate_paths(a, b)], (a, b)
+    # Empty bounds ask for no list, so nothing is enumerated, not even at width 0.
+    calls = _calls(monkeypatch, diagrams, "enumerate_paths")
+    for bounds in [(0, 0), (0, 8), (6, 0)]:
+        count, oracle = cache(diagrams.count_paths), cache(diagrams.count_rect)
+        paths = verify.diagram_lists(min(bounds[1], 8))
+        assert verify.check_split_contract(*bounds, count, paths).cells == 0
+        assert verify.check_decomposition(*bounds, count, oracle, paths).cells == 0
+    assert calls == []
+
+
+def test_lists_too_narrow_for_a_sweep_raise():
+    # Lists narrower than a sweep's widest rectangle raise, so they cannot
+    # make it pass over fewer cells.
+    with pytest.raises(ValueError, match="width 4 exceeds the lists' width 3"):
+        verify.diagram_lists(3)(1, 4)
+    count, oracle = cache(diagrams.count_paths), cache(diagrams.count_rect)
+    with pytest.raises(ValueError, match="width 4 exceeds"):
+        verify.check_split_contract(6, 8, count, verify.diagram_lists(3))
+    with pytest.raises(ValueError, match="width 7 exceeds"):
+        verify.check_decomposition(5, 7, count, oracle, verify.diagram_lists(6))
 
 
 def _plus_one(module, name):
