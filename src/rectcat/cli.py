@@ -65,7 +65,6 @@ def _append_cache(path: str, a: int, b: int, method: str, count: str, micros: in
 
 def _cmd_count(args):
     a, b = args.a, args.b
-    diagrams.check_rect(a, b)
     start = time.perf_counter()
     resolved = verify.first_route(a, b, AUTO if args.method == "auto" else [args.method])
     value = verify.ROUTES[resolved].count(a, b)
@@ -213,8 +212,7 @@ def _cmd_identities(args):
 
 def _cmd_expand(args):
     a, b = args.a, args.b
-    diagrams.check_rect(a, b)
-    verify.first_route(a, b, ["theorem"])  # refuses a rectangle outside both families
+    verify.first_route(a, b, ["theorem"])  # refuses bad sides, then a shape outside both families
     family, _, n = comparison.theorem_fit(a, b)
     # Every term is coprime, and so is one side of the width step; the other,
     # like (a, b), has gcd 2.  Terms and step share rectangles: count each once.

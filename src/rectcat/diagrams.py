@@ -363,10 +363,10 @@ def _tables(a: int, b: int, p: int, form: str):
 
 
 # The walk's costs, fitted to its times, in units of one table entry built,
-# which costs about as much as one position the odometer writes: a setting
-# at depth 0, which is a path; a setting deeper, which opens the iterators
-# over its table; a path taken from a table; a table list built.
-_PATH, _SETTING, _ITEM, _TABLE = 8, 15, 1, 8
+# which costs about as much as one position the odometer writes: a path at
+# depth 0, past what every path costs at any depth, which no weight prices;
+# a setting deeper, which opens the iterators over its table; a table list.
+_PATH, _SETTING, _TABLE = 7, 15, 8
 # The letters the two newest table levels may hold while they are built,
 # each entry counted as its word and 100 letters more for its objects.
 _TABLE_LETTERS = 3 * 2**20
@@ -376,14 +376,12 @@ def _depth(a: int, b: int, heads: list[int]) -> int:
     """How many down steps _walk takes from tables: the k of least cost.
 
     ``heads`` is _heads' forward count, whose last entry is the number of
-    paths.  Counting backward costs up to about 4 * _TABLE a level.  The
-    answer is 0 without it when 8 * _TABLE a level, a generous bound on
-    that cost, is more than the tables could save, which is _PATH - _ITEM
-    and fewer than a odometer steps on each path.
+    paths.  The cost of depth k is the positions the odometer writes, plus
+    _SETTING a setting, plus the table entries, plus _TABLE a table list;
+    at depth 0 it is the positions written plus _PATH a path.  The cheapest
+    depth whose two newest table levels hold at most _TABLE_LETTERS wins,
+    the smaller one on a tie.
     """
-    total = heads[-1]
-    if (a + _PATH - _ITEM) * total <= 8 * _TABLE * a:
-        return 0
     # Forward: heads[p - z] odometer settings over the first p >= z down
     # steps, z = ceil(a/b), each writing position p - 1; steps[p - z + 1],
     # their running sum after the z - 1 positions before, one setting each,
@@ -394,25 +392,20 @@ def _depth(a: int, b: int, heads: list[int]) -> int:
     steps = list(accumulate(heads, initial=z - 1))
     # Backward, while the budget holds and the tables alone cost less than
     # the best depth so far: n[y] completions of down steps j..a-1 after
-    # xs[j-1] = y, and built the cost of the tables of depth a - j, every
-    # level counted.  A word of level j has a - j + b - y letters, so the
-    # first test is a cheap lower bound of the second.
-    best, least = 0, steps[-1] + _PATH * total
+    # xs[j-1] = y, each a word of a - j + b - y letters, and built the cost
+    # of the tables of depth a - j, every level counted.
+    best, least = 0, steps[-1] + _PATH * heads[-1]
     n = [1] * (b * (a - 1) // a + 1)
     built = below = 0
     for j, settings, written in zip(range(a - 1, z - 1, -1), heads[-2::-1], steps[-2::-1]):
-        bound = b * j // a
-        n = list(accumulate(n[bound::-1]))[::-1]
-        entries = sum(n)
+        n = list(accumulate(n[b * j // a :: -1]))[::-1]
         width = a - j + b + 100
-        if entries * (width - bound) + below > _TABLE_LETTERS:
-            break
         letters = sum(map(mul, n, range(width, width - len(n), -1)))
-        built += entries + _TABLE * len(n)
-        if letters + below > _TABLE_LETTERS or built + _ITEM * total >= least:
+        built += sum(n) + _TABLE * len(n)
+        if letters + below > _TABLE_LETTERS or built >= least:
             break
         below = letters
-        cost = written + _SETTING * settings + built + _ITEM * total
+        cost = written + _SETTING * settings + built
         if cost < least:
             best, least = a - j, cost
     return best

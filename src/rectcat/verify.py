@@ -74,7 +74,11 @@ a function replaced there (a test's injected fault, a profiler's wrapper) runs.
 
 
 def first_route(a: int, b: int, names: Iterable[str]) -> str:
-    """The first of ``names`` whose route applies to a x b; else the last one's refusal."""
+    """The first of ``names`` whose route applies to a x b; else the last one's refusal.
+
+    Sides check_rect refuses are refused before any route is asked.
+    """
+    diagrams.check_rect(a, b)
     for name in names:
         applies, refusal, _ = ROUTES[name]
         if applies is None or applies(a, b):

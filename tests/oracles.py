@@ -7,7 +7,8 @@ reproduced here by coincidence to slip through.  Everything is exact and
 deliberately slow; keep the ranges small.
 
 walk_by_odometer is the enumeration as one odometer over all down steps,
-each word and diagram spliced from the one before.
+each word and diagram spliced from the one before; depth_by_cost is the
+depth its tables reach, costed at every depth with no early exit.
 
 The two *_by_visits sweeps are the verify sweeps as they were before they
 kept one result per diagram: they redo every diagram at every visit, each
@@ -89,6 +90,49 @@ def walk_by_odometer(a: int, b: int, word: str):
         rows = (v,) * n + rows[len(rows) - k :]
         if n > 1:
             kept[i + 1 :] = range(k + 1, k + n)
+
+
+def depth_by_cost(a: int, b: int) -> int:
+    """The table depth enumerate_paths' cost model asks for, every depth costed in full.
+
+    Depth k tables the last k down steps, and its odometer runs over the
+    first p = a - k.  Its cost is every position the odometer writes, one a
+    setting over each prefix of the first p steps, plus _SETTING a setting
+    over all p, plus every table entry, plus _TABLE a table list; depth 0
+    costs the positions written plus _PATH a path.  A depth is out when two
+    adjacent levels of its tables, the deepest one beside none, hold more
+    than _TABLE_LETTERS letters, each entry counted as its word and 100
+    more.  The cheapest depth left wins, the smaller one on a tie.  The
+    settings are _heads' forward counts; the table sizes are counted here,
+    from the last down step up, with no early exit.
+    """
+    heads = diagrams._heads(a, b)
+    z = a + 1 - len(heads)  # ceil(a/b): the first z steps have one setting
+    settings = [1] * (z - 1) + heads  # settings[p - 1]: over the first p steps
+    costs = {0: sum(settings) + diagrams._PATH * heads[-1]}
+    # below[v]: completions of the steps past level j when step j sits at v.
+    below = [1] * (b + 1)
+    entries = lists = last = 0
+    fits = True
+    for j in range(a - 1, z - 1, -1):
+        level, run = [], 0
+        for v in range(b * j // a, -1, -1):
+            run += below[v]
+            level.append(run)
+        level.reverse()  # level[y]: completions of steps j..a-1 after step j - 1 at y
+        letters = sum(c * (a - j + b - y + 100) for y, c in enumerate(level))
+        fits = fits and letters + last <= diagrams._TABLE_LETTERS
+        entries += sum(level)
+        lists += len(level)
+        if fits:
+            costs[a - j] = (
+                sum(settings[:j])
+                + diagrams._SETTING * settings[j - 1]
+                + entries
+                + diagrams._TABLE * lists
+            )
+        below, last = level, letters
+    return min(costs, key=lambda k: (costs[k], k))
 
 
 def ballot_by_filter(a: int, b: int, k: int) -> int:

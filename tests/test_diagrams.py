@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     count_by_filter,
     count_subdiagrams,
+    depth_by_cost,
     subdiagrams_by_filter,
     walk_by_odometer,
     words_by_filter,
@@ -402,8 +403,11 @@ def test_enumerate_streams_in_constant_memory():
 
 
 # Shapes whose chosen depths run from 0 (a long word, few paths) to deep
-# tables (a tall, narrow staircase).
-DEPTH_SHAPES = [(3, 177), (4, 67), (5, 37), (13, 9), (23, 6), (33, 5), (61, 4), (133, 3), (2, 3000)]
+# tables (a tall, narrow staircase), and small counts that table too.
+DEPTH_SHAPES = [
+    (3, 177), (4, 67), (5, 37), (13, 9), (23, 6), (33, 5), (61, 4), (133, 3), (2, 3000),
+    (10, 3), (11, 3), (12, 3), (13, 3), (14, 3), (100, 2),
+]
 FORMS = [None, "text", "json"]
 
 
@@ -445,6 +449,20 @@ def test_enumerate_chooses_several_depths():
     for a, b in DEPTH_SHAPES:
         depths.add(diagrams._depth(a, b, diagrams._heads(a, b)))
     assert 0 in depths and len(depths) >= 4, depths
+
+
+def test_depth_is_the_cheapest_within_the_letters_budget():
+    # Every shape of at most 10**6 paths in a small grid, wide rectangles and
+    # tall ones: the early exits of _depth's one loop change no depth.
+    shapes = (
+        [(a, b) for a in range(1, 31) for b in range(1, 46)]
+        + [(a, b) for a in range(2, 12) for b in range(100, 3001, 211)]
+        + [(a, b) for a in range(100, 951, 150) for b in range(2, 5)]
+    )
+    for a, b in shapes:
+        heads = diagrams._heads(a, b)
+        if heads[-1] <= 10**6:
+            assert diagrams._depth(a, b, heads) == depth_by_cost(a, b), (a, b)
 
 
 def test_enumerate_counts_once(monkeypatch):

@@ -71,6 +71,16 @@ def test_diagram_memo_matches_the_per_visit_sweeps(monkeypatch, fault, bounds):
     assert bool(failures) == (fault != "clean" and bounds != (1, 1))
 
 
+@pytest.mark.parametrize("name", list(verify.ROUTES))
+def test_every_route_refuses_bad_sides_as_check_rect(name):
+    # A route is asked nothing before the sides are checked: fuss would
+    # divide by zero at 0x6, and the oracle would apply.
+    for a, b in [(0, 6), (6, 0), (-1, 3)]:
+        message = f"^rectangle sides must be positive integers, got {a}x{b}$"
+        with pytest.raises(ValueError, match=message):
+            verify.first_route(a, b, [name])
+
+
 def test_route_checks_share_one_oracle(monkeypatch):
     # The rule2 checks take the run's oracle too, and enumerate_paths sizes
     # its walk with its own count, so the run asks count_rect once per
