@@ -96,15 +96,16 @@ def depth_by_cost(a: int, b: int) -> int:
     """The table depth enumerate_paths' cost model asks for, every depth costed in full.
 
     Depth k tables the last k down steps, and its odometer runs over the
-    first p = a - k.  Its cost is every position the odometer writes, one a
-    setting over each prefix of the first p steps, plus _SETTING a setting
-    over all p, plus every table entry, plus _TABLE a table list; depth 0
-    costs the positions written plus _PATH a path.  A depth is out when two
-    adjacent levels of its tables, the deepest one beside none, hold more
-    than _TABLE_LETTERS letters, each entry counted as its word and 100
-    more.  The cheapest depth left wins, the smaller one on a tie.  The
-    settings are _heads' forward counts; the table sizes are counted here,
-    from the last down step up, with no early exit.
+    first p = a - k.  Its cost is every position the odometer writes, one
+    for each setting of each prefix of the first p steps, plus _SETTING for
+    each setting of all p, plus every table entry, plus _TABLE for each
+    table list; depth 0 costs the positions written plus _PATH for each
+    path.  A depth is out when two adjacent levels of its tables, the
+    deepest one beside none, hold more than _TABLE_LETTERS letters, each
+    entry counted as its word and 100 more.  The cheapest depth left wins,
+    the smaller one on a tie.  The settings are _heads' forward counts; the
+    table sizes are counted here, from the last down step up, with no early
+    exit.
     """
     heads = diagrams._heads(a, b)
     z = a + 1 - len(heads)  # ceil(a/b): the first z steps have one setting
