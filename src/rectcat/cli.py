@@ -17,6 +17,11 @@ so main does no work per line.  A result value may be JSON text already
 written, in pieces that may come from a generator, which main copies into
 the report as it stands.  A handler raises every error before it returns,
 so a refusal writes nothing to stdout.
+
+COMMANDS states each command's arguments once.  An argv of a command's
+name, its positionals, then exact option names each with its values is
+read from that table, and builds no argparse parser; every other argv, help
+included, goes to argparse unchanged, with argparse's words and exit codes.
 """
 
 from __future__ import annotations
@@ -275,115 +280,157 @@ def _cmd_formula(args):
     return [f"{value}\n"], results, []
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_JSON = _arg("--json", action="store_true", help="emit one JSON object instead of text")
+_RECT = [_JSON, _arg("a", type=int), _arg("b", type=int)]
+
+# The command line's grammar: each command's handler, its help, and its
+# arguments as add_argument takes them, in the order --help lists them.
+COMMANDS = {
+    "count": (_cmd_count, "count the paths of a rectangle", [
+        *_RECT,
+        _arg("--method", choices=METHODS, default="auto"),
+        _arg(
+            "--check-bound",
+            type=int,
+            default=DEFAULT_CHECK_BOUND,
+            help="cross-check auto against the oracle while a*b is at most this",
+        ),
+        _arg("--cache", metavar="FILE", help="append a,b,method,count,micros to this CSV"),
+    ]),
+    "christoffel": (
+        _cmd_christoffel, "maximal staircase rows, box count, and growth profile", _RECT
+    ),
+    "decompose": (_cmd_decompose, "isosceles expression of a staircase", [
+        _JSON,
+        _arg("a", type=int, nargs="?"),
+        _arg("b", type=int, nargs="?"),
+        _arg("--diagram", help='explicit rows, e.g. "4,3,1"'),
+        _arg("--format", choices=["text", "json"], default="text"),
+    ]),
+    "enumerate": (_cmd_enumerate, "list every path word with its diagram", [
+        *_RECT,
+        _arg(
+            "--limit",
+            type=int,
+            help="refuse when the count exceeds this (default 10**6, or RECTCAT_MAX_ENUM)",
+        ),
+    ]),
+    "verify": (_cmd_verify, "run every cross-method sweep", [
+        _JSON,
+        _arg("--max-a", type=int, default=8),
+        _arg("--max-b", type=int, default=10),
+        _arg(
+            "--families",
+            type=int,
+            nargs=2,
+            metavar=("K", "N"),
+            help="theorem family ranges k <= K, n <= N (default: derived from --max-a)",
+        ),
+    ]),
+    "identities": (_cmd_identities, "box-count and row-profile identity sweeps", [
+        _JSON, _arg("--max-a", type=int, default=16), _arg("--max-b", type=int, default=40)
+    ]),
+    "expand": (_cmd_expand, "telescoping term list of a family rectangle, with counts", _RECT),
+    "formula": (_cmd_formula, "evaluate one closed-form expression", [
+        _JSON, _arg("name", choices=sorted(FORMULAS)), _arg("values", type=int, nargs="+")
+    ]),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its subparser for each command by name.
-
-    Built on the first call and shared afterwards: parsing leaves the parsers
-    as they were, so every main call in a process can use the one tree; it is
-    built lazily so that importing this module stays cheap.
-    """
+    """The parser from COMMANDS and its subparsers by name; parsing leaves them as they were."""
     parser = argparse.ArgumentParser(
         prog="rectcat",
         description="Count, enumerate, and decompose Dyck paths in rectangles.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit one JSON object instead of text"
-    )
-    rect = argparse.ArgumentParser(add_help=False, parents=[common])
-    rect.add_argument("a", type=int)
-    rect.add_argument("b", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def command(name, handler, **kwargs):
-        p = commands[name] = sub.add_parser(name, **kwargs)
+    for name, (handler, about, arguments) in COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=about)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("count", _cmd_count, parents=[rect], help="count the paths of a rectangle")
-    p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument(
-        "--check-bound",
-        type=int,
-        default=DEFAULT_CHECK_BOUND,
-        help="cross-check auto against the oracle while a*b is at most this",
-    )
-    p.add_argument(
-        "--cache", metavar="FILE", help="append a,b,method,count,micros to this CSV"
-    )
-
-    command(
-        "christoffel",
-        _cmd_christoffel,
-        parents=[rect],
-        help="maximal staircase rows, box count, and growth profile",
-    )
-
-    p = command(
-        "decompose", _cmd_decompose, parents=[common], help="isosceles expression of a staircase"
-    )
-    p.add_argument("a", type=int, nargs="?")
-    p.add_argument("b", type=int, nargs="?")
-    p.add_argument("--diagram", help='explicit rows, e.g. "4,3,1"')
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = command(
-        "enumerate", _cmd_enumerate, parents=[rect], help="list every path word with its diagram"
-    )
-    p.add_argument(
-        "--limit",
-        type=int,
-        help="refuse when the count exceeds this (default 10**6, or RECTCAT_MAX_ENUM)",
-    )
-
-    p = command("verify", _cmd_verify, parents=[common], help="run every cross-method sweep")
-    p.add_argument("--max-a", type=int, default=8)
-    p.add_argument("--max-b", type=int, default=10)
-    p.add_argument(
-        "--families",
-        type=int,
-        nargs=2,
-        metavar=("K", "N"),
-        help="theorem family ranges k <= K, n <= N (default: derived from --max-a)",
-    )
-
-    p = command(
-        "identities",
-        _cmd_identities,
-        parents=[common],
-        help="box-count and row-profile identity sweeps",
-    )
-    p.add_argument("--max-a", type=int, default=16)
-    p.add_argument("--max-b", type=int, default=40)
-
-    command(
-        "expand",
-        _cmd_expand,
-        parents=[rect],
-        help="telescoping term list of a family rectangle, with counts",
-    )
-
-    p = command(
-        "formula", _cmd_formula, parents=[common], help="evaluate one closed-form expression"
-    )
-    p.add_argument("name", choices=sorted(FORMULAS))
-    p.add_argument("values", type=int, nargs="+")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser, commands
 
 
-def _parse_args(argv: list[str] | None):
-    """The whole parser's parse_args(argv), in one argparse pass.
+@functools.cache
+def _grammar(command: str) -> tuple[dict, list, dict]:
+    """COMMANDS[command] as argparse's defaults, the positionals, and the options by name."""
+    handler, _, arguments = COMMANDS[command]
+    defaults = {"command": command, "handler": handler}
+    positionals, options = [], {}
+    for (flag, *_), kwargs in arguments:
+        switch = kwargs.get("action") == "store_true"
+        dest = flag.lstrip("-").replace("-", "_")
+        defaults[dest] = kwargs.get("default", False if switch else None)
+        if flag[0] == "-":
+            options[flag] = dest, 0 if switch else kwargs.get("nargs", 1), kwargs
+        else:
+            positionals.append((dest, kwargs))
+    return defaults, positionals, options
 
-    The top-level parser would hand everything after a command's name to that
-    command's subparser, so those arguments go there directly; any other argv
-    (none, --help, an unknown command, an option first) takes the whole parser.
+
+def _read(kwargs, words: list[str]) -> list:
+    """words as add_argument(**kwargs) converts them; ValueError where argparse would refuse."""
+    values = [kwargs.get("type", str)(word) for word in words]
+    if "choices" in kwargs and any(value not in kwargs["choices"] for value in values):
+        raise ValueError("invalid choice")
+    return values
+
+
+def _table_args(argv: list[str]) -> argparse.Namespace:
+    """argparse's namespace for an argv of the form _parse_args names; ValueError for any other."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError("not a command")
+    found, positionals, options = _grammar(argv[0])
+    found, words, at = dict(found), argv[1:], 0
+    end = next((i for i, word in enumerate(words) if word[:1] == "-"), len(words))
+    for dest, kwargs in positionals:
+        nargs = kwargs.get("nargs")
+        taken = words[at:end if nargs == "+" else min(at + 1, end)]
+        if taken:
+            values = _read(kwargs, taken)
+            found[dest] = values if nargs == "+" else values[0]
+        elif nargs != "?":
+            raise ValueError("too few positionals")
+        at += len(taken)
+    while at < len(words):  # a positional too many is no option name either
+        if words[at] not in options:
+            raise ValueError("not an option name")
+        dest, n, kwargs = options[words[at]]
+        taken = words[at + 1:at + 1 + n]
+        if len(taken) < n or any(word[:1] == "-" for word in taken):
+            raise ValueError("missing option value")
+        values = _read(kwargs, taken)
+        found[dest] = True if n == 0 else values if "nargs" in kwargs else values[0]
+        at += 1 + n
+    args = argparse.Namespace()
+    vars(args).update(found)
+    return args
+
+
+def _parse_args(argv: list[str] | None):
+    """The whole parser's parse_args(argv), read from COMMANDS when argv is well formed.
+
+    Well formed is a command's name, then its positionals, then exact option
+    names, each followed by its values, where no positional or value starts
+    with "-" and each converts by its type and choices.  Such an argv builds
+    no parser.  Every other argv, help included, goes to argparse unchanged,
+    with argparse's words and exit codes: a command's subparser parses what
+    follows its name in one pass, and the whole parser anything else.
     """
-    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        return _table_args(argv)
+    except ValueError:
+        pass
+    parser, commands = _build_parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
     args, extra = commands[argv[0]].parse_known_args(argv[1:])

@@ -54,13 +54,13 @@ def test_delta_known_profiles():
 
 
 def test_delta_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need a >= 2 for a nonempty row range, got a=1$"):
         delta(1, 5, 1)  # no interior rows
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^width must be positive, got 0$"):
         delta(4, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row index must lie in \[1, 3\], got 0$"):
         delta(4, 5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row index must lie in \[1, 3\], got 4$"):
         delta(4, 5, 4)  # l must stay below a
 
 

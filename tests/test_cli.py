@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import golden
 from oracles import tree
 from rectcat import bizley, christoffel, cli, comparison, decomposition, diagrams, formulas
 
@@ -1134,6 +1136,103 @@ def test_one_pass_parse_matches_the_whole_parser(capsys, monkeypatch):
     assert {code for _, code, _, _ in outcomes} == {None, 0, 2}
 
 
+def fuzzed_argvs(count, seed):
+    """count argvs near the table's form: each command's options, exact and abbreviated,
+    --opt=value, "--", -h, values such as -1, +5, x and "", positionals on either side."""
+    rng = random.Random(seed)
+    odd = ["-1", "+5", "x", "", "--", "-h", "--help", " 7", "1_0", "nope"]
+
+    def value(kwargs):
+        if rng.random() < 0.15:
+            return rng.choice(odd)
+        if "choices" in kwargs:
+            return rng.choice(list(kwargs["choices"]))
+        if kwargs.get("type") is int:
+            return str(rng.randint(0, 12))
+        return rng.choice(["4,3,1", "2", "counts.csv"])
+
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(list(cli.COMMANDS))
+        arguments = [(flag, kwargs) for (flag, *_), kwargs in cli.COMMANDS[name][2]]
+        words = [[value(kwargs)] for flag, kwargs in arguments if flag[0] != "-"]
+        words += [[value({"type": int})] for _ in range(rng.random() < 0.1)]
+        if words and rng.random() < 0.1:
+            words.pop(rng.randrange(len(words)))
+        options = [(flag, kwargs) for flag, kwargs in arguments if flag[0] == "-"]
+        for _ in range(rng.randint(0, 3)):
+            flag, kwargs = rng.choice(options)
+            n = 0 if kwargs.get("action") else kwargs.get("nargs", 1)
+            given = [value(kwargs) for _ in range(n - (rng.random() < 0.05))]
+            shape = rng.random()
+            if shape < 0.1:
+                flag = flag[:rng.randint(3, len(flag) - 1)]
+            elif shape < 0.15 and given:
+                flag, given = f"{flag}={given[0]}", given[1:]
+            # An option before some positionals, or after them all.
+            at = rng.randint(0, len(words)) if rng.random() < 0.2 else len(words)
+            words.insert(at, [flag, *given])
+        if rng.random() < 0.1:
+            words.insert(rng.randint(0, len(words)), [rng.choice(odd[4:7])])
+        argv = [name] + [word for group in words for word in group]
+        if rng.random() < 0.03:
+            argv.insert(0, argv.pop(rng.randrange(len(argv))))
+        argvs.append(argv)
+    return argvs
+
+
+def workload_argvs(tmp_path):
+    """Every argv of the three benchmark workloads' streams at seed 1."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    cache = str(tmp_path / "counts.csv")
+    return [list(r.argv) for w in workloads.WORKLOADS for r in workloads.stream(w, 1, cache)]
+
+
+# One argv of each request shape the benchmark workloads send.
+WORKLOAD_SHAPES = [
+    ["count", "6", "9"],
+    ["count", "6", "9", "--json"],
+    ["count", "6", "9", "--method", "bizley"],
+    ["count", "6", "9", "--method", "oracle", "--json", "--cache", "counts.csv"],
+    ["count", "6", "9", "--cache", "counts.csv"],
+    ["verify"],
+    ["verify", "--max-a", "8", "--max-b", "10"],
+    ["verify", "--max-a", "8", "--max-b", "10", "--families", "1", "2"],
+    ["identities", "--max-a", "10", "--max-b", "20"],
+    ["expand", "4", "6"],
+    ["decompose", "4", "6"],
+    ["decompose", "4", "6", "--json"],
+    ["decompose", "--diagram", "4,3,1"],
+    ["enumerate", "3", "29"],
+    ["enumerate", "3", "29", "--json"],
+]
+
+
+def test_the_table_parses_as_argparse_or_declines(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli._build_parser()
+    sent = WORKLOAD_SHAPES + workload_argvs(tmp_path)
+    fuzzed = fuzzed_argvs(2500, seed=51)
+    corpus = [step for step in REUSE_SEQUENCE if isinstance(step, list)] + EDGE_ARGVS
+    corpus += [argv for argv in golden._argvs() if "=" not in argv[0]] + sent + fuzzed
+    taken = set()
+    for argv in corpus:
+        parsed, code, _, _ = parse_outcome(capsys, parser.parse_args, argv)
+        try:
+            table = vars(cli._table_args(argv))
+        except ValueError:
+            continue
+        assert (table, code) == (parsed, None), argv
+        taken.add(tuple(argv))
+    # The fuzz reaches both sides, and every request the benchmark sends takes the table.
+    assert 500 < sum(tuple(argv) in taken for argv in fuzzed) < 2000
+    assert [argv for argv in sent if tuple(argv) not in taken] == []
+
+
 def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch):
     passes = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -1152,10 +1251,20 @@ def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch):
 
     _, commands = cli._build_parser()
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    # The table reads a well-formed argv without argparse; the command's subparser
+    # parses the rest in one pass, every edge case among them.
+    declined = EDGE_ARGVS + [
+        ["count", "6", "9", "--bogus"],
+        ["count", "6", "9", "--js"],
+        ["count", "x", "y"],
+        ["formula", "no-such-formula", "1"],
+        ["count", "6", "9", "--method", "nope"],
+        ["count", "--help"],
+    ]
     for argv in REUSE_SEQUENCE + EDGE_ARGVS:
         if isinstance(argv, list) and argv[:1] and argv[0] in commands:
             play(argv)
-            assert passes == [f"rectcat {argv[0]}"], argv
+            assert passes == ([f"rectcat {argv[0]}"] if argv in declined else []), argv
     # Anything else goes through the whole parser, as it always did.
     assert play([]) == (2, ["rectcat: error: the following arguments are required: command"])
     assert passes == ["rectcat"]
@@ -1171,8 +1280,8 @@ def test_a_command_is_parsed_in_one_pass(capsys, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
-    # The parser is built on the first main call, so an import, and the set-up
-    # time a benchmark measures with it, never pays for it.
+    # The parser is built on the first main call that needs it, so an import, the
+    # set-up time a benchmark measures with it, and a well-formed argv never pay for it.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "\n".join([
         "import argparse",
@@ -1185,13 +1294,15 @@ def test_importing_the_cli_builds_no_parser():
         "import rectcat.cli",
         "imported = len(built)",
         "rectcat.cli.main(['formula', 'catalan', '3'])",
-        "print(imported, 'rectcat' in built)",
+        "taken = len(built)",
+        "rectcat.cli.main(['formula', '--', 'catalan', '3'])",
+        "print(imported, taken, 'rectcat' in built)",
     ])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n0 True\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n5\n0 0 True\n", "")
 
 
 @pytest.mark.parametrize("argv, read_lines", [
@@ -1247,14 +1358,17 @@ def test_stdout_is_deterministic(capsys):
 
 def test_cache_appends_csv(capsys, tmp_path):
     cache = tmp_path / "counts.csv"
-    run(capsys, "count", "6", "9", "--cache", str(cache))
-    run(capsys, "count", "4", "6", "--method", "oracle", "--cache", str(cache))
+    spent = []  # microseconds each whole main call took, which its count's time lies within
+    for argv in (["count", "6", "9"], ["count", "4", "6", "--method", "oracle"]):
+        start = time.perf_counter()
+        run(capsys, *argv, "--cache", str(cache))
+        spent.append((time.perf_counter() - start) * 1e6)
     with open(cache, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["a", "b", "method", "count", "micros"]
     assert rows[1][:4] == ["6", "9", "bizley", "377"]
     assert rows[2][:4] == ["4", "6", "oracle", "23"]
-    assert all(int(row[4]) >= 0 for row in rows[1:])
+    assert all(0 <= int(row[4]) <= us for row, us in zip(rows[1:], spent))
     assert len(rows) == 3
 
 
